@@ -61,7 +61,6 @@ from .predict import (
     Predictor,
     kernel_interpolant,
     l2_distance,
-    predict,
     test_error,
 )
 from .solver import (

@@ -41,6 +41,7 @@ from .features import (
     RidgeTarget,
     featurize,
     kernel_matrix,
+    sample_covariates,
     sample_data,
     sample_weights,
 )
@@ -218,24 +219,38 @@ def _fit_coefficients(cfg: ExperimentConfig, p: float, Phi: np.ndarray, y: np.nd
     return a, sol.iters, sol.converged
 
 
-def _reference_predictor(cfg: ExperimentConfig, spec, ds, inst: Instance, p: float, seed: int):
-    """Width->infinity surrogate: kernel interpolant when p = 2, else a large-N solve."""
+def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instance, p: float,
+                         seed: int):
+    """Width->infinity surrogate: kernel interpolant when p = 2, else a large-N solve.
+
+    Also returns the population term E[z s(<phi, lam>)] of the exact-fit noise
+    identity: gamma^2 K^{-1} y in closed form for p = 2, otherwise estimated
+    from the reference solve's own noise matrix.
+    """
     if p == 2.0:
         method = _closed_form_method(spec)
         oracle = kernel_matrix(
             spec, inst.X, method=method, mc_samples=100_000, seed=derived_seed(seed, "kernel")
         )
-        return kernel_interpolant(oracle, inst, spec), oracle
+        return kernel_interpolant(oracle, inst, spec), cfg.gamma**2 * oracle.inv_apply(inst.y)
     ref_seed = derived_seed(seed, "reference")
     W_ref = sample_weights(spec, cfg.d, cfg.N_ref, ref_seed)
-    Phi_ref = featurize(spec, inst.X, W_ref, seed=ref_seed)
+    Phi_ref, Z_ref = _features(spec, inst.X, W_ref, ref_seed)
     try:
         a_ref, _, ok = _fit_coefficients(cfg, p, Phi_ref, inst.y)
     except MciError as exc:
         raise ReferenceFailed(f"reference solve failed: {exc}") from exc
     if not ok:
         raise ReferenceFailed(f"reference solve did not converge (p={p}, N_ref={cfg.N_ref})")
-    return Predictor(W=W_ref, a=a_ref, spec=spec), None
+    noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ a_ref / cfg.N_ref
+    return Predictor(W=W_ref, a=a_ref, spec=spec), noise
+
+
+def _features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray, seed: int):
+    """(Phi, Z), with Z = None for noise-free features (no zero matrix is written)."""
+    if spec.noise_gamma > 0:
+        return featurize(spec, X, W, seed=seed, return_noise=True)
+    return featurize(spec, X, W, seed=seed), None
 
 
 def _closed_form_method(spec: FeatureSpec) -> str:
@@ -257,92 +272,69 @@ def _map_seeds(fn, seeds: list[int], threads: int):
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
+    """The per-seed engine of the fig1, scaling and latent studies.
+
+    Per seed the test batch is drawn once, the weights are drawn once at the
+    largest width and each width takes a prefix (the weight draw is
+    prefix-nested), the reference of each p (scaling and latent only) is
+    predicted once, and each finite-width model is predicted once: the same
+    value vector feeds both `test_error` and `l2_distance`.  `wall_ms` is the
+    row's fit time.  Solver failures are recorded per row and the sweep
+    continues.
+    """
+    spec, ds = cfg.feature_spec(), cfg.data_spec()
+
+    def per_seed(seed: int) -> tuple[list[Row], float, dict]:
+        inst = sample_data(ds, cfg.n, seed)
+        test_seed = derived_seed(seed, "test")
+        X_test = sample_covariates(ds, cfg.M_test, test_seed)
+        ref_values, ref_noise = {}, {}
+        if experiment != FIG1:
+            for p in cfg.p_list:
+                ref, ref_noise[p] = _reference_predictor(cfg, spec, inst, p, seed)
+                ref_values[p] = ref.predict(X_test)
+        W_max = sample_weights(spec, cfg.d, cfg.N_list[-1], seed)
+        rows, residuals = [], {}
+        for N in cfg.N_list:
+            W = W_max[:N]
+            Phi, Z = _features(spec, inst.X, W, seed)
+            for p in cfg.p_list:
+                t0 = time.perf_counter()
+                dist = math.nan
+                try:
+                    a, iters, ok = _fit_coefficients(cfg, p, Phi, inst.y)
+                    wall = (time.perf_counter() - t0) * 1e3
+                    values = Predictor(W=W, a=a, spec=spec).predict(X_test)
+                    te = test_error(values, ds, cfg.M_test, test_seed)
+                    if ref_values:
+                        dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed)
+                except MciError:
+                    a, iters, ok, te = None, 0, False, math.nan
+                    wall = (time.perf_counter() - t0) * 1e3
+                rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, iters, ok, wall))
+                if experiment == LATENT and a is not None and p > 1:
+                    # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
+                    residuals[(p, N)] = float(np.linalg.norm(Z @ a / N - ref_noise[p]))
+        return rows, float(np.linalg.svd(inst.X, compute_uv=False)[-1]), residuals
+
+    results = _map_seeds(per_seed, cfg.seeds, cfg.threads)
+    rows = sorted((r for chunk, _, _ in results for r in chunk), key=lambda r: (r.p, r.N, r.seed))
+    noise_residuals = {}
+    for p in cfg.p_list:
+        for N in cfg.N_list:
+            vals = [res[(p, N)] for _, _, res in results if (p, N) in res]
+            if vals:
+                noise_residuals[f"p={p:g}|N={N}"] = vals
+    sigma_min = {str(seed): smin for seed, (_, smin, _) in zip(cfg.seeds, results)}
+    return rows, {"noise_residuals": noise_residuals, "sigma_min": sigma_min}
+
+
 def run_fig1(cfg: ExperimentConfig) -> ExperimentResult:
     """Test error versus width for each penalty exponent; solver failures are
     recorded per row and the sweep continues."""
-    spec, ds = cfg.feature_spec(), cfg.data_spec()
-
-    def per_seed(seed: int) -> list[Row]:
-        inst = sample_data(ds, cfg.n, seed)
-        rows = []
-        for N in cfg.N_list:
-            W = sample_weights(spec, cfg.d, N, seed)
-            Phi = featurize(spec, inst.X, W, seed=seed)
-            for p in cfg.p_list:
-                t0 = time.perf_counter()
-                try:
-                    a, iters, ok = _fit_coefficients(cfg, p, Phi, inst.y)
-                    pred = Predictor(W=W, a=a, spec=spec)
-                    te = test_error(pred, ds, cfg.M_test, derived_seed(seed, "test"))
-                except MciError:
-                    a, iters, ok, te = None, 0, False, math.nan
-                wall = (time.perf_counter() - t0) * 1e3
-                rows.append(
-                    Row(FIG1, p, cfg.n, N, seed, te, math.nan, iters, ok, wall)
-                )
-        return rows
-
-    rows = [r for chunk in _map_seeds(per_seed, cfg.seeds, cfg.threads) for r in chunk]
-    rows.sort(key=lambda r: (r.p, r.N, r.seed))
+    rows, _ = _sweep(cfg, FIG1)
     return ExperimentResult(rows=rows, aggregates=aggregate(rows), config=cfg.to_dict())
-
-
-def _scaling_rows(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
-    """Shared machinery of the scaling and latent studies."""
-    spec, ds = cfg.feature_spec(), cfg.data_spec()
-    extras: dict = {"noise_residuals": {}, "sigma_min": {}}
-
-    def per_seed(seed: int) -> tuple[list[Row], dict]:
-        inst = sample_data(ds, cfg.n, seed)
-        smin = float(np.linalg.svd(inst.X, compute_uv=False)[-1])
-        local: dict = {"sigma_min": smin}
-        rows = []
-        for p in cfg.p_list:
-            ref, oracle = _reference_predictor(cfg, spec, ds, inst, p, seed)
-            for N in cfg.N_list:
-                W = sample_weights(spec, cfg.d, N, seed)
-                Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
-                t0 = time.perf_counter()
-                try:
-                    a, iters, ok = _fit_coefficients(cfg, p, Phi, inst.y)
-                    pred = Predictor(W=W, a=a, spec=spec)
-                    dist, _ = l2_distance(pred, ref, ds, cfg.M_test, derived_seed(seed, "test"))
-                    te = test_error(pred, ds, cfg.M_test, derived_seed(seed, "test"))
-                except MciError:
-                    a, iters, ok, dist, te = None, 0, False, math.nan, math.nan
-                wall = (time.perf_counter() - t0) * 1e3
-                rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, iters, ok, wall))
-                if experiment == LATENT and a is not None and p > 1:
-                    local.setdefault("noise_residuals", {})[(p, N)] = _latent_noise_residual(
-                        cfg, spec, inst, p, Z, a, ref, oracle, seed
-                    )
-        return rows, local
-
-    results = _map_seeds(per_seed, cfg.seeds, cfg.threads)
-    rows = [r for chunk, _ in results for r in chunk]
-    rows.sort(key=lambda r: (r.p, r.N, r.seed))
-    for seed, (_, local) in zip(cfg.seeds, results):
-        extras["sigma_min"][str(seed)] = local["sigma_min"]
-        for key, val in local.get("noise_residuals", {}).items():
-            extras["noise_residuals"].setdefault(f"p={key[0]:g}|N={key[1]}", []).append(val)
-    return rows, extras
-
-
-def _latent_noise_residual(cfg, spec, inst, p, Z, a, ref, oracle, seed) -> float:
-    """|| (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity.
-
-    For p = 2 the population term is gamma^2 K^{-1} y in closed form; otherwise
-    it is estimated from the large-width reference solve (whose noise matrix is
-    regenerated from the same sub-seed).
-    """
-    lhs = Z @ a / Z.shape[1]
-    if p == 2.0 and oracle is not None:
-        pop = cfg.gamma**2 * oracle.inv_apply(inst.y)
-    else:
-        ref_seed = derived_seed(seed, "reference")
-        _, Z_ref = featurize(spec, inst.X, ref.W, seed=ref_seed, return_noise=True)
-        pop = Z_ref @ ref.a / cfg.N_ref
-    return float(np.linalg.norm(lhs - pop))
 
 
 def _fit_slopes(rows: list[Row]) -> dict:
@@ -372,7 +364,7 @@ def run_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     fitted log-log slope per penalty exponent."""
     if len(cfg.N_list) < 2:
         raise ValueError("scaling study needs at least two widths (slope undefined)")
-    rows, extras = _scaling_rows(cfg, SCALING)
+    rows, extras = _sweep(cfg, SCALING)
     extras["slopes"] = _fit_slopes(rows)
     return ExperimentResult(rows=rows, aggregates=aggregate(rows), config=cfg.to_dict(), extras=extras)
 
@@ -388,7 +380,7 @@ def run_latent(cfg: ExperimentConfig) -> ExperimentResult:
         raise WrongSpec("latent study needs activation='identity' and gamma > 0")
     if len(cfg.N_list) < 2:
         raise ValueError("latent study needs at least two widths")
-    rows, extras = _scaling_rows(cfg, LATENT)
+    rows, extras = _sweep(cfg, LATENT)
     extras["slopes"] = _fit_slopes(rows)
     smins = np.array(list(extras["sigma_min"].values()))
     c0 = float(np.min(smins) / math.sqrt(cfg.n))

@@ -67,10 +67,20 @@ class KernelPredictor:
 
 
 def predict(pred, X_test: np.ndarray) -> np.ndarray:
-    """Evaluate a predictor (or plain callable) on test rows."""
+    """Evaluate a predictor (or plain callable) on test rows.
+
+    `pred` may also be a 1-D array of values already computed on `X_test`
+    (one per row); it is returned as is, so callers that evaluate one model
+    against several quantities on the same test batch predict it once.
+    """
+    X_test = np.asarray(X_test, dtype=np.float64)
+    if isinstance(pred, np.ndarray):
+        if pred.shape != (X_test.shape[0],):
+            raise DimMismatch(f"values {pred.shape} do not match {X_test.shape[0]} test rows")
+        return pred
     if hasattr(pred, "predict"):
-        return pred.predict(np.asarray(X_test, dtype=np.float64))
-    return np.asarray(pred(np.asarray(X_test, dtype=np.float64)), dtype=np.float64)
+        return pred.predict(X_test)
+    return np.asarray(pred(X_test), dtype=np.float64)
 
 
 def kernel_interpolant(oracle: KernelOracle, inst: Instance, spec: FeatureSpec) -> KernelPredictor:
@@ -84,7 +94,9 @@ def kernel_interpolant(oracle: KernelOracle, inst: Instance, spec: FeatureSpec) 
 def l2_distance(f, g, ds: DataSpec, M: int, seed: int) -> tuple[float, float]:
     """Monte Carlo L2(P) distance between two predictors, with standard error.
 
-    Returns (sqrt(mean (f - g)^2), delta-method standard error of the root).
+    Either side may be a value vector already computed on this test batch
+    (see :func:`predict`).  Returns (sqrt(mean (f - g)^2), delta-method
+    standard error of the root).
     """
     if M < 100:
         raise InvalidM("need at least 100 Monte Carlo points")
@@ -98,7 +110,11 @@ def l2_distance(f, g, ds: DataSpec, M: int, seed: int) -> tuple[float, float]:
 
 
 def test_error(f, ds: DataSpec, M: int, seed: int) -> float:
-    """Monte Carlo mean-squared error against the ridge target."""
+    """Monte Carlo mean-squared error against the ridge target.
+
+    `f` may be a value vector already computed on this test batch (see
+    :func:`predict`).
+    """
     if ds.target is None:
         raise NoTarget("test_error requires a ridge target in the data spec")
     if M < 100:

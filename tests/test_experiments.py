@@ -1,12 +1,14 @@
 """Experiment configs, runners, aggregation, and persistence."""
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mci.errors import SchemaMismatch, WrongSpec
+import mci.experiments as experiments
+from mci.errors import MciError, SchemaMismatch, WrongSpec
 from mci.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -237,6 +239,113 @@ class TestLatent:
         res = run_latent(cfg)
         by_N = {v["N"]: v["l2_to_ref_mean"] for v in res.aggregates.values()}
         assert by_N[1024] < by_N[64]
+
+
+def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
+    """The per-row path the engine replaces: fresh weights and a fresh Predictor
+    for each row, `test_error` and `l2_distance` each predicting the model, the
+    reference re-predicted for every width, and the latent reference noise
+    matrix regenerated for every width.  Returns ({(p, N, seed): row outputs},
+    {"p=..|N=..": [noise residual per seed]})."""
+    from mci.features import featurize, sample_data, sample_weights
+    from mci.predict import Predictor, l2_distance, test_error
+    from mci.seeding import derive_seed
+
+    spec, ds = cfg.feature_spec(), cfg.data_spec()
+    rows, residuals = {}, {}
+    for seed in cfg.seeds:
+        inst = sample_data(ds, cfg.n, seed)
+        test_seed = derive_seed(seed, "test")
+        for p in cfg.p_list:
+            ref = None
+            if experiment != "fig1":
+                ref, _ = experiments._reference_predictor(cfg, spec, inst, p, seed)
+            for N in cfg.N_list:
+                W = sample_weights(spec, cfg.d, N, seed)
+                Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
+                try:
+                    a, iters, ok = experiments._fit_coefficients(cfg, p, Phi, inst.y)
+                    pred = Predictor(W=W, a=a, spec=spec)
+                    te = test_error(pred, ds, cfg.M_test, test_seed)
+                    dist = math.nan
+                    if ref is not None:
+                        dist, _ = l2_distance(pred, ref, ds, cfg.M_test, test_seed)
+                except MciError:
+                    a, iters, ok, te, dist = None, 0, False, math.nan, math.nan
+                rows[(p, N, seed)] = (te, dist, iters, ok)
+                if experiment == "latent" and a is not None and p > 1:
+                    if p == 2.0:
+                        pop = cfg.gamma**2 * ref.kernel.inv_apply(inst.y)
+                    else:
+                        _, Z_ref = featurize(spec, inst.X, ref.W, seed=derive_seed(seed, "reference"),
+                                             return_noise=True)
+                        pop = Z_ref @ ref.a / cfg.N_ref
+                    residuals.setdefault(f"p={p:g}|N={N}", []).append(
+                        float(np.linalg.norm(Z @ a / N - pop)))
+    return rows, residuals
+
+
+ENGINE_CASES = {
+    # N = 8 < n: p = 1 is infeasible and the dual rows stop unconverged.
+    "fig1": (run_fig1, dict(experiment="fig1", d=5, n=12, p_list=[1.0, 1.5, 2.0],
+                            N_list=[8, 32, 64], seeds=[0, 1], M_test=1_000,
+                            solver={"max_iters": 20})),
+    "scaling": (run_scaling, dict(experiment="scaling", d=5, n=12, p_list=[1.5, 2.0],
+                                  N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000,
+                                  N_ref=512, weight_dist="uniform_sphere")),
+    "latent": (run_latent, dict(experiment="latent", d=5, n=12, p_list=[2.0, 1.5],
+                                N_list=[32, 128], seeds=[0, 1], gamma=1.0,
+                                activation="identity", target_activation="identity",
+                                M_test=1_000, N_ref=512)),
+}
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("experiment", sorted(ENGINE_CASES))
+    def test_rows_match_per_row_evaluation(self, experiment):
+        runner, raw = ENGINE_CASES[experiment]
+        cfg = ExperimentConfig.from_dict(raw)
+        res = runner(cfg)
+        slow_rows, slow_residuals = _rows_evaluated_per_row(cfg, experiment)
+        assert sorted((r.p, r.N, r.seed) for r in res.rows) == sorted(slow_rows)
+        for r in res.rows:
+            te, dist, iters, ok = slow_rows[(r.p, r.N, r.seed)]
+            assert (r.solver_iters, r.converged) == (iters, ok)
+            assert r.test_error == pytest.approx(te, rel=1e-12, nan_ok=True)
+            assert r.l2_to_ref == pytest.approx(dist, rel=1e-12, nan_ok=True)
+        if experiment == "latent":
+            got = {k: v["values"] for k, v in res.extras["noise_residuals"].items()}
+            assert got.keys() == slow_residuals.keys()
+            for key, values in slow_residuals.items():
+                assert got[key] == pytest.approx(values, rel=1e-12)
+        if experiment != "fig1":
+            assert all(math.isfinite(r.l2_to_ref) for r in res.rows)
+
+    def test_each_model_predicted_once(self, monkeypatch):
+        from mci.predict import KernelPredictor, Predictor
+
+        calls = collections.Counter()
+        finite_predict, kernel_predict = Predictor.predict, KernelPredictor.predict
+
+        def count_finite(self, X_test):
+            calls["finite", self.W.shape[0], X_test.shape[0]] += 1
+            return finite_predict(self, X_test)
+
+        def count_kernel(self, X_test):
+            calls["kernel", X_test.shape[0]] += 1
+            return kernel_predict(self, X_test)
+
+        monkeypatch.setattr(Predictor, "predict", count_finite)
+        monkeypatch.setattr(KernelPredictor, "predict", count_kernel)
+        cfg = ExperimentConfig(experiment="scaling", d=5, n=12, p_list=[1.5, 2.0],
+                               N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000, N_ref=512)
+        res = run_scaling(cfg)
+        assert len(res.rows) == 12 and all(r.converged for r in res.rows)
+        # The reference once per (seed, p): a 512-wide model for p = 1.5, the
+        # kernel interpolant for p = 2; each finite model once per row.
+        assert calls == {("finite", 512, 1_000): 2, ("kernel", 1_000): 2,
+                         ("finite", 32, 1_000): 4, ("finite", 64, 1_000): 4,
+                         ("finite", 128, 1_000): 4}
 
 
 class TestAudit:

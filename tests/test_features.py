@@ -46,6 +46,14 @@ class TestSampleWeights:
         c = sample_weights(RELU_GAUSS, 6, 50, seed=4)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("weight_dist", ["gaussian_isotropic", "uniform_sphere"])
+    def test_prefix_of_widest_draw(self, weight_dist):
+        # The sweep engine draws once at the largest width and slices each width.
+        spec = FeatureSpec(weight_dist=weight_dist)
+        W_max = sample_weights(spec, 7, 1024, seed=5)
+        for N in (1, 3, 64, 1000, 1024):
+            np.testing.assert_array_equal(sample_weights(spec, 7, N, seed=5), W_max[:N])
+
 
 class TestFeaturize:
     def test_relu_negative(self):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from mci.errors import InvalidM, NoTarget
+from mci.errors import DimMismatch, InvalidM, NoTarget
 from mci.features import (
     DataSpec,
     FeatureSpec,
     RidgeTarget,
     kernel_matrix,
+    sample_covariates,
     sample_data,
     sample_weights,
 )
@@ -51,6 +52,35 @@ class TestPredictor:
     def test_callable_predictors_supported(self):
         out = predict(lambda X: X[:, 0], np.arange(6.0).reshape(3, 2))
         np.testing.assert_array_equal(out, [0.0, 2.0, 4.0])
+
+    def test_value_vector_passes_through(self):
+        values = np.array([0.5, -1.0, 2.0])
+        assert predict(values, np.zeros((3, 2))) is values
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_value_vector_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimMismatch):
+            predict(np.zeros(shape), np.zeros((3, 2)))
+
+    def test_value_vector_matches_predictor_in_evaluation(self):
+        ds = _ds(4)
+        W = sample_weights(SPEC, 4, 40, seed=2)
+        pred = Predictor(W=W, a=np.linspace(-1.0, 1.0, 40), spec=SPEC)
+        values = pred.predict(sample_covariates(ds, 500, 9))
+        assert mse_vs_target(values, ds, 500, seed=9) == mse_vs_target(pred, ds, 500, seed=9)
+        zero = Predictor(W=W, a=np.zeros(40), spec=SPEC)
+        assert l2_distance(values, zero, ds, 500, seed=9) == l2_distance(pred, zero, ds, 500, seed=9)
+        with pytest.raises(DimMismatch):
+            mse_vs_target(values, ds, 600, seed=9)
+
+    def test_package_attribute_is_the_module(self):
+        import inspect
+
+        import mci
+        import mci.predict as module
+
+        assert inspect.ismodule(module) and module is mci.predict
+        assert module.predict is predict
 
 
 class TestKernelInterpolant:
