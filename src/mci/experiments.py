@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ValueError("p_list, N_list, and seeds must be nonempty")
         if list(self.N_list) != sorted(self.N_list):
             raise ValueError("N_list must be sorted ascending")
+        if self.M_test < 100:
+            raise ValueError("M_test must be at least 100 Monte Carlo points")
 
     def feature_spec(self) -> FeatureSpec:
         return FeatureSpec(
@@ -281,7 +283,8 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
     predicted once, and each finite-width model is predicted once: the same
     value vector feeds both `test_error` and `l2_distance`.  `wall_ms` is the
     row's fit time.  Solver failures are recorded per row and the sweep
-    continues.
+    continues; only rows whose fit converged are predicted and scored, the
+    others carry nan `test_error` and `l2_to_ref`.
     """
     spec, ds = cfg.feature_spec(), cfg.data_spec()
 
@@ -301,19 +304,19 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
             Phi, Z = _features(spec, inst.X, W, seed)
             for p in cfg.p_list:
                 t0 = time.perf_counter()
-                dist = math.nan
                 try:
                     a, iters, ok = _fit_coefficients(cfg, p, Phi, inst.y)
-                    wall = (time.perf_counter() - t0) * 1e3
+                except MciError:
+                    a, iters, ok = None, 0, False
+                wall = (time.perf_counter() - t0) * 1e3
+                te = dist = math.nan
+                if ok:
                     values = Predictor(W=W, a=a, spec=spec).predict(X_test)
                     te = test_error(values, ds, cfg.M_test, test_seed)
                     if ref_values:
                         dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed)
-                except MciError:
-                    a, iters, ok, te = None, 0, False, math.nan
-                    wall = (time.perf_counter() - t0) * 1e3
                 rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, iters, ok, wall))
-                if experiment == LATENT and a is not None and p > 1:
+                if experiment == LATENT and ok and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
                     residuals[(p, N)] = float(np.linalg.norm(Z @ a / N - ref_noise[p]))
         return rows, float(np.linalg.svd(inst.X, compute_uv=False)[-1]), residuals

@@ -26,6 +26,7 @@ from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH_FAILED = "line_search_failed"
+STATUS_INFEASIBLE = "infeasible"
 
 L1_RESIDUAL_RTOL = 1e-8
 
@@ -107,6 +108,25 @@ def dual_hessian(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndarr
     return -0.5 * (H + H.T)
 
 
+def _farkas_direction(Phi: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray | None:
+    """Unit v with Phi^T v = 0 and <v, y> > tol, or None when N >= n or y lies
+    within tol of range(Phi).
+
+    v = r / ||r|| for the range residual r = y - Phi Phi^+ y, whose norm is
+    dist(y, range Phi).  Every candidate fit (1/N) Phi a lies in range(Phi), so
+    its residual is at least ||r|| = <v, y>: when that exceeds `tol`, no fit
+    meets the tolerance.  Only N < n is tested (a least-squares solve, O(n N^2));
+    with N >= n range(Phi) is generically all of R^n and None is returned.
+    """
+    n, N = Phi.shape
+    if N >= n:
+        return None
+    coef, *_ = np.linalg.lstsq(Phi, y, rcond=None)
+    r = y - Phi @ coef
+    dist = float(np.linalg.norm(r))
+    return r / dist if dist > tol else None
+
+
 def _initial_point(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec) -> np.ndarray:
     """Quadratic-case solution, rescaled by a scalar line search.
 
@@ -141,9 +161,15 @@ def solve_dual(
     Newton direction (-hess + ridge I)^{-1} grad, with ridge proportional to
     the largest Hessian eigenvalue; a singular or non-ascent direction falls
     back to plain gradient ascent for that iteration.  Declares convergence
-    when ||grad||_2 <= tol_abs + tol_rel ||y||_2.  With N < n the constraints
-    are typically infeasible and the gradient cannot vanish; the best iterate
-    is returned with converged=False.
+    when ||grad||_2 <= tol_abs + tol_rel ||y||_2.
+
+    The gradient (the interpolation residual) is y minus a vector of
+    range(Phi), so its norm never falls below dist(y, range Phi).  With N < n
+    that distance is tested before any Newton work; when it exceeds the
+    tolerance the problem is certified infeasible and the solution has
+    status "infeasible", converged=False, iters=0 and, as lambda_hat, the
+    unit Farkas direction v (Phi^T v ~ 0, <v, y> = dist(y, range Phi) > 0),
+    along which the dual objective grows without bound.
     """
     if pen.is_l1:
         raise UndefinedForL1("solve_dual does not handle p=1; use solve_l1")
@@ -152,9 +178,23 @@ def solve_dual(
     y = np.asarray(y, dtype=np.float64)
     _check_dims(Phi, y)
     n, N = Phi.shape
+    tol = float(opts.tol_grad_abs + opts.tol_grad_rel * np.linalg.norm(y))
+
+    farkas = _farkas_direction(Phi, y, tol)
+    if farkas is not None:
+        obj = dual_objective(Phi, y, pen, farkas)
+        gn = float(np.linalg.norm(dual_gradient(Phi, y, pen, farkas)))
+        return DualSolution(
+            lambda_hat=farkas,
+            grad_norm=gn,
+            objective=obj,
+            iters=0,
+            trace=[(0, obj, gn, 0.0)],
+            converged=False,
+            status=STATUS_INFEASIBLE,
+        )
 
     lam = np.array(init, dtype=np.float64) if init is not None else _initial_point(Phi, y, pen)
-    tol = float(opts.tol_grad_abs + opts.tol_grad_rel * np.linalg.norm(y))
 
     trace: list[tuple[int, float, float, float]] = []
     obj = dual_objective(Phi, y, pen, lam)
@@ -257,11 +297,17 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray, opts: SolverOptions | None = None) 
 
     Split a = a+ - a- with a-, a+ >= 0 and solve with the HiGHS dual simplex,
     which returns a vertex: at most n coordinates of the optimum are active.
+    With N < n, y is first tested against range(Phi): when its distance from
+    it exceeds the residual tolerance, no solution can be accepted and
+    Infeasible is raised without building the program.
     """
     Phi = np.asarray(Phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_dims(Phi, y)
     n, N = Phi.shape
+    tol = L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
+    if _farkas_direction(Phi, y, tol) is not None:
+        raise Infeasible("the l1 interpolation constraints admit no solution")
     A_eq = np.hstack([Phi, -Phi]) / N
     c = np.ones(2 * N)
     res = linprog(
@@ -281,6 +327,6 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray, opts: SolverOptions | None = None) 
         raise Infeasible(f"linear program failed: {res.message}")
     a = res.x[:N] - res.x[N:]
     residual = float(np.linalg.norm(Phi @ a / N - y))
-    if residual > L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0):
+    if residual > tol:
         raise Infeasible(f"l1 solution violates the constraints (residual {residual:.3e})")
     return PrimalSolution(a=a, objective_primal=float(np.sum(np.abs(a))), residual=residual)

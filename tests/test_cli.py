@@ -82,7 +82,7 @@ def test_seed_rebases_list(tmp_path, capsys):
 
 
 def test_row_failure_exit_code(tmp_path, capsys):
-    # N < n rows cannot converge: rows still written, exit code 2.
+    # N < n rows are certified infeasible: rows still written, exit code 2.
     cfg = _write_config(tmp_path, d=5, n=16, p_list=[2.0], N_list=[8], seeds=[0], M_test=1_000)
     out_dir = tmp_path / "fail_out"
     code = main(["fig1", "--config", str(cfg), "--out", str(out_dir)])
@@ -102,6 +102,13 @@ def test_audit_writes_json(tmp_path, capsys):
     assert code == 0
     doc = json.loads((out_dir / "audit.json").read_text())
     assert "hermite" in doc and "event_budget" in doc
+
+
+def test_too_few_test_points_exit_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path, d=5, n=12, p_list=[1.5], N_list=[64], seeds=[0], M_test=50)
+    code = main(["fig1", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "M_test" in capsys.readouterr().err
 
 
 def test_fatal_error_exit_code(tmp_path, capsys):

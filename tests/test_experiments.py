@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mci.experiments as experiments
-from mci.errors import MciError, SchemaMismatch, WrongSpec
+from mci.errors import InvalidM, MciError, SchemaMismatch, WrongSpec
 from mci.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -46,6 +46,11 @@ class TestConfig:
             ExperimentConfig(p_list=[])
         with pytest.raises(ValueError):
             ExperimentConfig(N_list=[128, 64])
+
+    def test_too_few_test_points_rejected(self):
+        # Rejected up front, not recorded as a failed solve on every row.
+        with pytest.raises(ValueError, match="M_test"):
+            run_fig1(ExperimentConfig(d=5, n=12, p_list=[1.5], N_list=[64], M_test=50))
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ValueError):
@@ -141,7 +146,7 @@ class TestFig1:
             assert a.test_error == b.test_error
 
     def test_underdetermined_rows_recorded(self):
-        # N < n: the dual gradient cannot vanish; rows carry converged=False.
+        # N < n: certified infeasible before any solve; rows carry converged=False.
         cfg = ExperimentConfig(
             experiment="fig1", d=5, n=16, p_list=[2.0], N_list=[8],
             seeds=[0], M_test=2_000,
@@ -149,6 +154,17 @@ class TestFig1:
         res = run_fig1(cfg)
         assert len(res.rows) == 1 and not res.rows[0].converged
         assert res.any_row_failed
+
+    def test_evaluation_error_is_not_a_failed_solve(self, monkeypatch):
+        # Only the fit is guarded: an evaluation error propagates instead of
+        # recording a converged solve as converged=False.
+        def fail(*args, **kwargs):
+            raise InvalidM("evaluation failed")
+
+        monkeypatch.setattr(experiments, "test_error", fail)
+        with pytest.raises(InvalidM):
+            run_fig1(ExperimentConfig(d=5, n=12, p_list=[1.5], N_list=[64], seeds=[0],
+                                      M_test=1_000))
 
     def test_ci_shrinks_with_more_seeds(self):
         base = dict(experiment="fig1", d=5, n=16, p_list=[1.5], N_list=[128], M_test=4_000)
@@ -245,8 +261,9 @@ def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
     """The per-row path the engine replaces: fresh weights and a fresh Predictor
     for each row, `test_error` and `l2_distance` each predicting the model, the
     reference re-predicted for every width, and the latent reference noise
-    matrix regenerated for every width.  Returns ({(p, N, seed): row outputs},
-    {"p=..|N=..": [noise residual per seed]})."""
+    matrix regenerated for every width.  Rows whose fit did not converge keep
+    the solver's iteration count and are not scored (nan outputs).  Returns
+    ({(p, N, seed): row outputs}, {"p=..|N=..": [noise residual per seed]})."""
     from mci.features import featurize, sample_data, sample_weights
     from mci.predict import Predictor, l2_distance, test_error
     from mci.seeding import derive_seed
@@ -265,15 +282,16 @@ def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
                 Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
                 try:
                     a, iters, ok = experiments._fit_coefficients(cfg, p, Phi, inst.y)
+                except MciError:
+                    a, iters, ok = None, 0, False
+                te = dist = math.nan
+                if ok:
                     pred = Predictor(W=W, a=a, spec=spec)
                     te = test_error(pred, ds, cfg.M_test, test_seed)
-                    dist = math.nan
                     if ref is not None:
                         dist, _ = l2_distance(pred, ref, ds, cfg.M_test, test_seed)
-                except MciError:
-                    a, iters, ok, te, dist = None, 0, False, math.nan, math.nan
                 rows[(p, N, seed)] = (te, dist, iters, ok)
-                if experiment == "latent" and a is not None and p > 1:
+                if experiment == "latent" and ok and p > 1:
                     if p == 2.0:
                         pop = cfg.gamma**2 * ref.kernel.inv_apply(inst.y)
                     else:
@@ -320,6 +338,14 @@ class TestSweepEngine:
                 assert got[key] == pytest.approx(values, rel=1e-12)
         if experiment != "fig1":
             assert all(math.isfinite(r.l2_to_ref) for r in res.rows)
+        else:
+            # N = 8 < n = 12 is certified infeasible before any solve, for the
+            # l1 program and the dual alike, and such rows are not scored.
+            under = [r for r in res.rows if r.N < r.n]
+            assert {r.p for r in under} == {1.0, 1.5, 2.0}
+            for r in under:
+                assert (r.solver_iters, r.converged) == (0, False)
+                assert math.isnan(r.test_error)
 
     def test_each_model_predicted_once(self, monkeypatch):
         from mci.predict import KernelPredictor, Predictor

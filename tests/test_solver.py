@@ -5,10 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from mci.errors import DimMismatch, NotConvergedWarning, UndefinedForL1
+import mci.solver as solver
+from mci.errors import DimMismatch, Infeasible, NotConvergedWarning, UndefinedForL1
 from mci.features import DataSpec, FeatureSpec, RidgeTarget, featurize, sample_data, sample_weights
 from mci.penalty import PenaltySpec, link_s
 from mci.solver import (
+    L1_RESIDUAL_RTOL,
+    STATUS_CONVERGED,
+    STATUS_INFEASIBLE,
     DualSolution,
     SolverOptions,
     dual_gradient,
@@ -268,3 +272,86 @@ class TestSolveL1:
         a_dual = np.asarray(link_s(pen, Phi.T @ sol.lambda_hat))
         prim = solve_l1(Phi, y)
         assert prim.objective_primal <= np.sum(np.abs(a_dual)) + 1e-8
+
+
+def _range_distance(Phi, y):
+    """dist(y, range Phi) from an orthonormal basis of range(Phi) (N < n)."""
+    Q, _ = np.linalg.qr(Phi)
+    return float(np.linalg.norm(y - Q @ (Q.T @ y)))
+
+
+def _feasible_underdetermined(n, N, seed):
+    """N < n with y = Phi a0 / N, so y lies in range(Phi)."""
+    rng = np.random.default_rng(seed)
+    Phi, _ = _random_problem(n, N, 4, seed=seed)
+    return Phi, Phi @ rng.standard_normal(N) / N
+
+
+class TestInfeasibilityCertificate:
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+    def test_gradient_never_below_range_distance(self, p):
+        # The bound that makes the early exit exact: (1/N) Phi s(Phi^T lam)
+        # lies in range(Phi), so ||grad F(lam)|| >= dist(y, range Phi).
+        pen = PenaltySpec.pnorm(p)
+        rng = np.random.default_rng(20)
+        for n, N in ((12, 5), (20, 16), (30, 2)):
+            Phi, y = _random_problem(n, N, 4, seed=n + N)
+            dist = _range_distance(Phi, y)
+            assert dist > 0
+            for scale in (1e-3, 1.0, 1e3):
+                lam = scale * rng.standard_normal(n)
+                gn = np.linalg.norm(dual_gradient(Phi, y, pen, lam))
+                assert gn >= dist * (1 - 1e-10)
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+    def test_infeasible_solution_carries_farkas_direction(self, p):
+        Phi, y = _random_problem(20, 5, 6, seed=10)
+        sol = solve_dual(Phi, y, PenaltySpec.pnorm(p))
+        assert sol.status == STATUS_INFEASIBLE and sol.iters == 0 and not sol.converged
+        v = sol.lambda_hat
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(Phi.T @ v) <= 1e-10 * np.linalg.norm(Phi)
+        assert v @ y == pytest.approx(_range_distance(Phi, y), rel=1e-10)
+        assert v @ y > 0
+
+    def test_certificate_runs_before_any_newton_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("Newton work on a certified infeasible problem")
+
+        monkeypatch.setattr(solver, "_initial_point", fail)
+        monkeypatch.setattr(solver, "_armijo", fail)
+        Phi, y = _random_problem(20, 5, 6, seed=10)
+        assert solve_dual(Phi, y, P2).status == STATUS_INFEASIBLE
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_feasible_underdetermined_dual_converges(self, p):
+        pen = PenaltySpec.pnorm(p)
+        Phi, y = _feasible_underdetermined(20, 8, seed=21)
+        sol = solve_dual(Phi, y, pen)
+        assert sol.converged and sol.status == STATUS_CONVERGED
+        a = np.asarray(link_s(pen, Phi.T @ sol.lambda_hat))
+        assert np.linalg.norm(Phi @ a / 8 - y) <= 1e-8 * (1 + np.linalg.norm(y))
+
+    def test_feasible_underdetermined_l1_solves(self):
+        Phi, y = _feasible_underdetermined(20, 8, seed=22)
+        prim = solve_l1(Phi, y)
+        assert prim.residual <= L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
+
+    def test_l1_infeasible_without_linprog(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("linprog called on a certified infeasible problem")
+
+        monkeypatch.setattr(solver, "linprog", fail)
+        Phi, y = _random_problem(20, 5, 6, seed=10)
+        with pytest.raises(Infeasible, match="admit no solution"):
+            solve_l1(Phi, y)
+
+    def test_overdetermined_width_skips_the_test(self, monkeypatch):
+        # N >= n takes the Newton path unchanged: no least-squares solve.
+        def fail(*args, **kwargs):
+            raise AssertionError("range test run with N >= n")
+
+        monkeypatch.setattr(solver.np.linalg, "lstsq", fail)
+        Phi, y = _random_problem(8, 40, 4, seed=11)
+        assert solve_dual(Phi, y, P2).converged
+        assert solve_l1(Phi, y).residual <= 1e-8 * max(np.linalg.norm(y), 1.0)
