@@ -70,6 +70,7 @@ from .solver import (
     dual_gradient,
     dual_hessian,
     dual_objective,
+    fit,
     primal_from_dual,
     solve_dual,
     solve_l1,

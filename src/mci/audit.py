@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    GridEmpty,
+    EmptyGrid,
     InsufficientTail,
     InvalidExponents,
     NotConverged,
@@ -353,7 +353,7 @@ def _lambda_grid(
 ) -> tuple[np.ndarray, int, int]:
     """Grid columns: the [lam_fin, lam_ref] segment plus random K-ball offsets."""
     if segment_points < 2:
-        raise GridEmpty("need at least the two segment endpoints")
+        raise EmptyGrid("need at least the two segment endpoints")
     ts = np.linspace(0.0, 1.0, segment_points)
     cols = [lam_fin + t * (lam_ref - lam_fin) for t in ts]
     idx_fin, idx_ref = 0, segment_points - 1
@@ -396,7 +396,7 @@ def event_audit(
     s_arg = oracle.norm_K(lam_ref)
     s_norm = float(link_s(pen, s_arg))
     if s_norm <= 0:
-        raise GridEmpty("reference dual solution is zero; nothing to audit")
+        raise EmptyGrid("reference dual solution is zero; nothing to audit")
 
     grid, idx_fin, idx_ref = _lambda_grid(
         lam_fin, lam_ref, oracle, segment_points, perturbations, seed

@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .features import featurize, sample_data, sample_weights, save_matrix_csv
 from .penalty import PenaltySpec
-from .solver import primal_from_dual, solve_dual, solve_l1
+from .solver import STATUS_CONVERGED, fit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,32 +103,23 @@ def _cmd_solve(args) -> int:
     Phi = featurize(spec, inst.X, W, seed=seed)
 
     t0 = time.perf_counter()
-    if args.p == 1.0:
-        prim = solve_l1(Phi, inst.y, cfg.solver)
-        summary = {
-            "p": 1.0,
-            "objective_primal": prim.objective_primal,
-            "residual": prim.residual,
-            "support": int(np.sum(prim.a != 0)),
-            "converged": True,
-        }
-        a, lam = prim.a, None
-    else:
-        pen = PenaltySpec.pnorm(args.p)
-        sol = solve_dual(Phi, inst.y, pen, cfg.solver)
-        prim = primal_from_dual(Phi, pen, sol)
-        summary = {
-            "p": args.p,
-            "objective_dual": sol.objective,
-            "objective_primal": prim.objective_primal,
-            "grad_norm": sol.grad_norm,
-            "iters": sol.iters,
-            "converged": sol.converged,
-            "status": sol.status,
-        }
-        a, lam = prim.a, sol.lambda_hat
-    summary["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    summary["n"], summary["N"], summary["seed"] = cfg.n, N, seed
+    res = fit(Phi, inst.y, PenaltySpec.pnorm(args.p), cfg.solver)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    summary = {
+        "p": args.p,
+        "status": res.status,
+        "converged": res.status == STATUS_CONVERGED,
+        "iters": res.iters,
+        "objective_primal": res.objective_primal,
+        "residual": res.residual,
+        "support": None if res.a is None else int(np.sum(res.a != 0)),
+        "objective_dual": None if res.dual is None else res.dual.objective,
+        "grad_norm": None if res.dual is None else res.dual.grad_norm,
+        "wall_ms": wall_ms,
+        "n": cfg.n,
+        "N": N,
+        "seed": seed,
+    }
 
     if args.out is not None:
         out = Path(args.out)
@@ -139,9 +130,10 @@ def _cmd_solve(args) -> int:
             save_matrix_csv(out / "y.csv", inst.y)
             save_matrix_csv(out / "W.csv", W)
             save_matrix_csv(out / "Phi.csv", Phi)
-            save_matrix_csv(out / "a.csv", a)
-            if lam is not None:
-                save_matrix_csv(out / "lambda.csv", lam)
+            if res.a is not None:
+                save_matrix_csv(out / "a.csv", res.a)
+            if res.dual is not None:
+                save_matrix_csv(out / "lambda.csv", res.dual.lambda_hat)
     print(json.dumps(summary, indent=2))
     return 0 if summary["converged"] else 2
 

@@ -14,7 +14,7 @@ class NonFiniteInput(MciError):
 
 
 class EmptyGrid(MciError):
-    """A grid argument contains no usable points."""
+    """A grid argument, or an audit's evaluation grid, contains no usable points."""
 
 
 class InvalidDim(MciError):
@@ -53,16 +53,8 @@ class TooFewSamples(MciError):
     """A Monte Carlo estimator was called with too few samples or directions."""
 
 
-class GridEmpty(MciError):
-    """An audit produced an empty evaluation grid."""
-
-
 class InvalidExponents(MciError):
     """Penalty growth exponents are missing or non-finite."""
-
-
-class InvalidM(MciError):
-    """Too few Monte Carlo points for a distance estimate."""
 
 
 class NoTarget(MciError):

@@ -27,7 +27,7 @@ from .audit import (
     hermite_condition_check,
     smallball_estimate,
 )
-from .errors import MciError, ReferenceFailed, SchemaMismatch, WrongSpec
+from .errors import ReferenceFailed, SchemaMismatch, WrongSpec
 from .features import (
     ARC_COSINE,
     GAUSSIAN_ISOTROPIC,
@@ -45,10 +45,10 @@ from .features import (
     sample_data,
     sample_weights,
 )
-from .penalty import PenaltySpec, link_s
+from .penalty import PenaltySpec
 from .predict import Predictor, kernel_interpolant, l2_distance, test_error
 from .seeding import derive_seed as derived_seed
-from .solver import SolverOptions, solve_dual, solve_l1
+from .solver import STATUS_CONVERGED, SolverOptions, fit, solve_dual
 
 CSV_COLUMNS = (
     "experiment",
@@ -210,17 +210,6 @@ def aggregate(rows: list[Row]) -> dict:
 # Row solvers
 # ---------------------------------------------------------------------------
 
-def _fit_coefficients(cfg: ExperimentConfig, p: float, Phi: np.ndarray, y: np.ndarray):
-    """Solve one interpolation problem; returns (a, iters, converged)."""
-    if p == 1.0:
-        prim = solve_l1(Phi, y, cfg.solver)
-        return prim.a, 0, True
-    pen = PenaltySpec.pnorm(p)
-    sol = solve_dual(Phi, y, pen, cfg.solver)
-    a = np.asarray(link_s(pen, Phi.T @ sol.lambda_hat))
-    return a, sol.iters, sol.converged
-
-
 def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instance, p: float,
                          seed: int):
     """Width->infinity surrogate: kernel interpolant when p = 2, else a large-N solve.
@@ -237,22 +226,12 @@ def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instanc
         return kernel_interpolant(oracle, inst, spec), cfg.gamma**2 * oracle.inv_apply(inst.y)
     ref_seed = derived_seed(seed, "reference")
     W_ref = sample_weights(spec, cfg.d, cfg.N_ref, ref_seed)
-    Phi_ref, Z_ref = _features(spec, inst.X, W_ref, ref_seed)
-    try:
-        a_ref, _, ok = _fit_coefficients(cfg, p, Phi_ref, inst.y)
-    except MciError as exc:
-        raise ReferenceFailed(f"reference solve failed: {exc}") from exc
-    if not ok:
-        raise ReferenceFailed(f"reference solve did not converge (p={p}, N_ref={cfg.N_ref})")
-    noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ a_ref / cfg.N_ref
-    return Predictor(W=W_ref, a=a_ref, spec=spec), noise
-
-
-def _features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray, seed: int):
-    """(Phi, Z), with Z = None for noise-free features (no zero matrix is written)."""
-    if spec.noise_gamma > 0:
-        return featurize(spec, X, W, seed=seed, return_noise=True)
-    return featurize(spec, X, W, seed=seed), None
+    Phi_ref, Z_ref = featurize(spec, inst.X, W_ref, seed=ref_seed, return_noise=True)
+    ref = fit(Phi_ref, inst.y, PenaltySpec.pnorm(p), cfg.solver)
+    if ref.status != STATUS_CONVERGED:
+        raise ReferenceFailed(f"reference solve ended {ref.status} (p={p}, N_ref={cfg.N_ref})")
+    noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ ref.a / cfg.N_ref
+    return Predictor(W=W_ref, a=ref.a, spec=spec), noise
 
 
 def _closed_form_method(spec: FeatureSpec) -> str:
@@ -282,9 +261,9 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
     prefix-nested), the reference of each p (scaling and latent only) is
     predicted once, and each finite-width model is predicted once: the same
     value vector feeds both `test_error` and `l2_distance`.  `wall_ms` is the
-    row's fit time.  Solver failures are recorded per row and the sweep
-    continues; only rows whose fit converged are predicted and scored, the
-    others carry nan `test_error` and `l2_to_ref`.
+    row's fit time.  Every fit ends in a status and the sweep continues; only
+    rows whose fit converged are predicted and scored, the others carry nan
+    `test_error` and `l2_to_ref`.
     """
     spec, ds = cfg.feature_spec(), cfg.data_spec()
 
@@ -301,24 +280,22 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
         rows, residuals = [], {}
         for N in cfg.N_list:
             W = W_max[:N]
-            Phi, Z = _features(spec, inst.X, W, seed)
+            Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
             for p in cfg.p_list:
                 t0 = time.perf_counter()
-                try:
-                    a, iters, ok = _fit_coefficients(cfg, p, Phi, inst.y)
-                except MciError:
-                    a, iters, ok = None, 0, False
+                res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver)
                 wall = (time.perf_counter() - t0) * 1e3
+                ok = res.status == STATUS_CONVERGED
                 te = dist = math.nan
                 if ok:
-                    values = Predictor(W=W, a=a, spec=spec).predict(X_test)
+                    values = Predictor(W=W, a=res.a, spec=spec).predict(X_test)
                     te = test_error(values, ds, cfg.M_test, test_seed)
                     if ref_values:
                         dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed)
-                rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, iters, ok, wall))
+                rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, res.iters, ok, wall))
                 if experiment == LATENT and ok and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
-                    residuals[(p, N)] = float(np.linalg.norm(Z @ a / N - ref_noise[p]))
+                    residuals[(p, N)] = float(np.linalg.norm(Z @ res.a / N - ref_noise[p]))
         return rows, float(np.linalg.svd(inst.X, compute_uv=False)[-1]), residuals
 
     results = _map_seeds(per_seed, cfg.seeds, cfg.threads)

@@ -215,23 +215,23 @@ def featurize(
     W: np.ndarray,
     seed: int = 0,
     return_noise: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
     """Feature matrix Phi_{ij} = sigma(<x_i, w_j>) + z_ij with z ~ N(0, gamma^2).
 
     gamma = 0 gives deterministic features.  With `return_noise=True` the
     realized noise matrix is returned alongside Phi (needed by the latent
-    diagnostics, where Z enters the residual identity explicitly).
+    diagnostics, where Z enters the residual identity explicitly); it is None
+    when gamma = 0.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
         raise DimMismatch(f"X {X.shape} and W {W.shape} are not compatible")
     Phi = apply_activation(spec.activation, X @ W.T)
+    Z = None
     if spec.noise_gamma > 0:
         Z = _noise_matrix(spec.noise_gamma, X.shape[0], W.shape[0], seed)
         Phi = Phi + Z
-    else:
-        Z = np.zeros_like(Phi)
     return (Phi, Z) if return_noise else Phi
 
 
@@ -291,9 +291,6 @@ class KernelOracle:
         if lam[-1] <= 0:
             raise SingularKernel("kernel has no positive eigenvalue")
         return self.evecs @ ((self.evecs.T @ v) / lam)
-
-    def inv_sqrt_apply(self, v: np.ndarray) -> np.ndarray:
-        return self.inv_sqrt @ v
 
     def norm_K(self, v: np.ndarray) -> float:
         """||v||_K = ||K^{1/2} v||_2."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidM, NoTarget
+from .errors import DimMismatch, NoTarget, TooFewSamples
 from .features import (
     DataSpec,
     FeatureSpec,
@@ -99,7 +99,7 @@ def l2_distance(f, g, ds: DataSpec, M: int, seed: int) -> tuple[float, float]:
     standard error of the root).
     """
     if M < 100:
-        raise InvalidM("need at least 100 Monte Carlo points")
+        raise TooFewSamples("need at least 100 Monte Carlo points")
     X = sample_covariates(ds, M, seed)
     diff2 = (predict(f, X) - predict(g, X)) ** 2
     mean2 = float(np.mean(diff2))
@@ -118,6 +118,6 @@ def test_error(f, ds: DataSpec, M: int, seed: int) -> float:
     if ds.target is None:
         raise NoTarget("test_error requires a ridge target in the data spec")
     if M < 100:
-        raise InvalidM("need at least 100 Monte Carlo points")
+        raise TooFewSamples("need at least 100 Monte Carlo points")
     X = sample_covariates(ds, M, seed)
     return float(np.mean((predict(f, X) - ds.target(X)) ** 2))

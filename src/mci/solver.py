@@ -8,17 +8,19 @@ is solved through its n-dimensional concave dual
 whose gradient y - (1/N) Phi s(Phi^T lambda) is exactly the interpolation
 residual, so convergence is measured on the gradient alone.  A damped Newton
 ascent with Armijo backtracking handles all p > 1; the l1 case is a linear
-program over the split a = a+ - a-.
+program over the split a = a+ - a-.  `fit` runs whichever applies and
+reports every outcome as one of the STATUS_* strings.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
 from .errors import DimMismatch, Infeasible, NotConvergedWarning, UndefinedForL1
 from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
@@ -68,10 +70,13 @@ class DualSolution:
 
 @dataclass
 class PrimalSolution:
-    a: np.ndarray
+    a: np.ndarray | None  # None when the solve did not converge (see `fit`)
     objective_primal: float  # sum_j rho(a_j)
     residual: float  # ||(1/N) Phi a - y||_2
     from_converged: bool = True
+    status: str = STATUS_CONVERGED
+    iters: int = 0  # Newton iterations; 0 for the linear program
+    dual: DualSolution | None = None  # the dual solve behind a p > 1 fit
 
 
 def _check_dims(Phi: np.ndarray, y: np.ndarray, lam: np.ndarray | None = None) -> None:
@@ -128,25 +133,25 @@ def _farkas_direction(Phi: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray 
 
 
 def _initial_point(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec) -> np.ndarray:
-    """Quadratic-case solution, rescaled by a scalar line search.
+    """Quadratic-case solution lam0, rescaled to the maximiser of F(c lam0).
 
     For conjugate exponents above 2 the dual is flat at the origin (s'(0) = 0),
     where Newton stalls; starting from the rescaled quadratic solution lands in
-    the curved region.
+    the curved region.  For a Q-homogeneous conjugate (every p-norm),
+    dF(c lam0)/dc = <lam0, y> - c^(Q-1) mean(u s(u)) with u = Phi^T lam0, so
+    the maximiser is c = (<lam0, y> / mean(u s(u)))^(1/(Q-1)); c = 1 when that
+    is not finite and positive.
     """
     n, N = Phi.shape
     G = Phi @ Phi.T / N
     lam0 = np.linalg.solve(G + 1e-10 * (np.trace(G) / n) * np.eye(n), y)
-    norm0 = np.linalg.norm(lam0)
-    if norm0 == 0:
+    if np.linalg.norm(lam0) == 0:
         return lam0
-
-    def neg_f(c: float) -> float:
-        return -dual_objective(Phi, y, pen, c * lam0)
-
-    res = minimize_scalar(neg_f, bracket=(0.0, 1.0))
-    c = float(res.x) if np.isfinite(res.x) and -res.fun >= 0.0 else 1.0
-    return c * lam0
+    u = Phi.T @ lam0
+    q = pen.conjugate_exponent
+    with np.errstate(all="ignore"):
+        c = np.divide(lam0 @ y, np.mean(u * link_s(pen, u))) ** (1.0 / (q - 1.0))
+    return (c if np.isfinite(c) and c > 0 else 1.0) * lam0
 
 
 def solve_dual(
@@ -159,9 +164,9 @@ def solve_dual(
     """Maximize the dual by damped Newton ascent with Armijo backtracking.
 
     Newton direction (-hess + ridge I)^{-1} grad, with ridge proportional to
-    the largest Hessian eigenvalue; a singular or non-ascent direction falls
-    back to plain gradient ascent for that iteration.  Declares convergence
-    when ||grad||_2 <= tol_abs + tol_rel ||y||_2.
+    the Hessian trace (an upper bound on its largest eigenvalue); a singular
+    or non-ascent direction falls back to plain gradient ascent for that
+    iteration.  Declares convergence when ||grad||_2 <= tol_abs + tol_rel ||y||_2.
 
     The gradient (the interpolation residual) is y minus a vector of
     range(Phi), so its norm never falls below dist(y, range Phi).  With N < n
@@ -214,11 +219,11 @@ def solve_dual(
         u = Phi.T @ lam
         H = (Phi * link_s_prime(pen, u)) @ Phi.T / N  # = -hess, PSD
         H = 0.5 * (H + H.T)
-        lam_max = float(np.linalg.eigvalsh(H)[-1]) if np.any(H) else 0.0
+        trace_H = float(np.trace(H))  # >= lambda_max(H); 0 only when H = 0
         direction = None
-        if lam_max > 0:
+        if trace_H > 0:
             try:
-                cf = scipy.linalg.cho_factor(H + opts.hessian_ridge * lam_max * np.eye(n))
+                cf = scipy.linalg.cho_factor(H + opts.hessian_ridge * trace_H * np.eye(n))
                 direction = scipy.linalg.cho_solve(cf, g)
             except scipy.linalg.LinAlgError:
                 direction = None
@@ -289,6 +294,9 @@ def primal_from_dual(Phi: np.ndarray, pen: PenaltySpec, sol: DualSolution) -> Pr
         objective_primal=float(np.sum(rho(pen, a))),
         residual=sol.grad_norm,
         from_converged=sol.converged,
+        status=sol.status,
+        iters=sol.iters,
+        dual=sol,
     )
 
 
@@ -330,3 +338,26 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray, opts: SolverOptions | None = None) 
     if residual > tol:
         raise Infeasible(f"l1 solution violates the constraints (residual {residual:.3e})")
     return PrimalSolution(a=a, objective_primal=float(np.sum(np.abs(a))), residual=residual)
+
+
+def fit(
+    Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, opts: SolverOptions | None = None
+) -> PrimalSolution:
+    """Minimum-complexity interpolant for any p: the l1 program when p = 1,
+    else the dual solve and its primal recovery.
+
+    Every outcome is a status (converged, infeasible, max_iters or
+    line_search_failed); an Infeasible from the l1 program becomes status
+    "infeasible" with iters 0.  Coefficients are recovered only from a
+    converged solve: otherwise `a` is None and `objective_primal` is nan, while
+    a p > 1 fit keeps its dual solve (and its gradient norm as `residual`).
+    """
+    if pen.is_l1:
+        try:
+            return solve_l1(Phi, y, opts)
+        except Infeasible:
+            return PrimalSolution(None, math.nan, math.nan, False, STATUS_INFEASIBLE)
+    sol = solve_dual(Phi, y, pen, opts)
+    if not sol.converged:
+        return PrimalSolution(None, math.nan, sol.grad_norm, False, sol.status, sol.iters, sol)
+    return primal_from_dual(Phi, pen, sol)

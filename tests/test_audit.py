@@ -7,6 +7,7 @@ import pytest
 
 from mci.audit import (
     SolvedModel,
+    _lambda_grid,
     assumption_report,
     event_audit,
     hermite_coefficients,
@@ -16,6 +17,7 @@ from mci.audit import (
     theorem_rate_budget,
 )
 from mci.errors import (
+    EmptyGrid,
     InsufficientTail,
     InvalidExponents,
     NotConverged,
@@ -208,6 +210,11 @@ class TestEventAudit:
         Psi = self.oracle.inv_sqrt @ fin.Phi
         lam_min = np.linalg.eigvalsh(Psi @ Psi.T / fin.Phi.shape[1])[0]
         assert budget.beta == pytest.approx(lam_min, rel=1e-8)
+
+    def test_grid_needs_both_endpoints(self):
+        lam = np.ones(self.inst.n)
+        with pytest.raises(EmptyGrid):
+            _lambda_grid(lam, lam, self.oracle, segment_points=1, perturbations=0, seed=0)
 
     def test_requires_convergence(self):
         import dataclasses

@@ -30,6 +30,15 @@ def test_solve_l1_path(tmp_path, capsys):
     assert out["residual"] <= 1e-7
 
 
+def test_solve_infeasible_is_a_status(tmp_path, capsys):
+    # N < n: the l1 fit ends with status "infeasible" and exit code 2.
+    cfg = _write_config(tmp_path, d=5, n=16, N_list=[8], seeds=[0])
+    code = main(["solve", "--config", str(cfg), "--p", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "infeasible" and not out["converged"] and out["iters"] == 0
+
+
 def test_solve_dump_matrices(tmp_path, capsys):
     cfg = _write_config(tmp_path, d=4, n=6, N_list=[32], seeds=[0])
     out_dir = tmp_path / "dump"
@@ -129,6 +138,17 @@ def test_scaling_cli(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert "slopes" in summary["extras"]
+
+
+def test_scaling_reference_failure_exit_code(tmp_path, capsys):
+    # N_ref < n: the p = 1.5 reference is infeasible, a fatal error.
+    cfg = _write_config(
+        tmp_path, d=5, n=12, p_list=[1.5], N_list=[32, 64], seeds=[0], M_test=1_000, N_ref=8,
+    )
+    code = main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "reference solve" in err and "infeasible" in err
 
 
 def test_latent_cli(tmp_path, capsys):

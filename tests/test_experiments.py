@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mci.experiments as experiments
-from mci.errors import InvalidM, MciError, SchemaMismatch, WrongSpec
+from mci.errors import SchemaMismatch, TooFewSamples, WrongSpec
 from mci.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -159,10 +159,10 @@ class TestFig1:
         # Only the fit is guarded: an evaluation error propagates instead of
         # recording a converged solve as converged=False.
         def fail(*args, **kwargs):
-            raise InvalidM("evaluation failed")
+            raise TooFewSamples("evaluation failed")
 
         monkeypatch.setattr(experiments, "test_error", fail)
-        with pytest.raises(InvalidM):
+        with pytest.raises(TooFewSamples):
             run_fig1(ExperimentConfig(d=5, n=12, p_list=[1.5], N_list=[64], seeds=[0],
                                       M_test=1_000))
 
@@ -265,8 +265,10 @@ def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
     the solver's iteration count and are not scored (nan outputs).  Returns
     ({(p, N, seed): row outputs}, {"p=..|N=..": [noise residual per seed]})."""
     from mci.features import featurize, sample_data, sample_weights
+    from mci.penalty import PenaltySpec
     from mci.predict import Predictor, l2_distance, test_error
     from mci.seeding import derive_seed
+    from mci.solver import STATUS_CONVERGED, fit
 
     spec, ds = cfg.feature_spec(), cfg.data_spec()
     rows, residuals = {}, {}
@@ -280,10 +282,8 @@ def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
             for N in cfg.N_list:
                 W = sample_weights(spec, cfg.d, N, seed)
                 Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
-                try:
-                    a, iters, ok = experiments._fit_coefficients(cfg, p, Phi, inst.y)
-                except MciError:
-                    a, iters, ok = None, 0, False
+                res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver)
+                a, iters, ok = res.a, res.iters, res.status == STATUS_CONVERGED
                 te = dist = math.nan
                 if ok:
                     pred = Predictor(W=W, a=a, spec=spec)

@@ -90,6 +90,13 @@ class TestFeaturize:
         lo, hi = scipy.stats.chi2.ppf([0.005, 0.995], dof)
         assert lo <= stat <= hi
 
+    def test_noise_free_returns_no_noise_matrix(self):
+        rng = np.random.default_rng(3)
+        X, W = rng.standard_normal((5, 3)), rng.standard_normal((6, 3))
+        Phi, Z = featurize(RELU_GAUSS, X, W, seed=1, return_noise=True)
+        assert Z is None
+        np.testing.assert_array_equal(Phi, featurize(RELU_GAUSS, X, W, seed=1))
+
     def test_noise_deterministic_per_seed(self):
         spec = FeatureSpec(activation="relu", noise_gamma=1.0)
         rng = np.random.default_rng(2)

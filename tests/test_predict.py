@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mci.errors import DimMismatch, InvalidM, NoTarget
+from mci.errors import DimMismatch, NoTarget, TooFewSamples
 from mci.features import (
     DataSpec,
     FeatureSpec,
@@ -152,7 +152,7 @@ class TestL2Distance:
         assert dac <= dab + dbc + 3 * (sab + sbc + sac)
 
     def test_invalid_m(self):
-        with pytest.raises(InvalidM):
+        with pytest.raises(TooFewSamples):
             l2_distance(lambda X: X[:, 0], lambda X: X[:, 0], _ds(3), 10, seed=0)
 
 

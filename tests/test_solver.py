@@ -1,6 +1,7 @@
 """Dual solver: objective/derivatives, Newton ascent, primal recovery, l1 LP."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from mci.solver import (
     L1_RESIDUAL_RTOL,
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
+    STATUS_MAX_ITERS,
     DualSolution,
     SolverOptions,
     dual_gradient,
     dual_hessian,
     dual_objective,
+    fit,
     primal_from_dual,
     solve_dual,
     solve_l1,
@@ -355,3 +358,61 @@ class TestInfeasibilityCertificate:
         Phi, y = _random_problem(8, 40, 4, seed=11)
         assert solve_dual(Phi, y, P2).converged
         assert solve_l1(Phi, y).residual <= 1e-8 * max(np.linalg.norm(y), 1.0)
+
+
+class TestInitialPoint:
+    def test_p2_start_is_the_quadratic_optimum(self):
+        # The headline sweep's seed-0 instance at N = 256: the scale is exactly
+        # <lam0, y> / <lam0, G lam0>, the optimum of the quadratic dual along
+        # lam0, so the start already meets the tolerance.
+        from mci.experiments import ExperimentConfig
+
+        cfg = ExperimentConfig()
+        spec, ds = cfg.feature_spec(), cfg.data_spec()
+        inst = sample_data(ds, cfg.n, 0)
+        W = sample_weights(spec, cfg.d, cfg.N_list[-1], 0)[:256]
+        Phi = featurize(spec, inst.X, W, seed=0)
+        sol = solve_dual(Phi, inst.y, P2)
+        assert sol.converged and sol.iters == 0
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
+    def test_scale_maximises_the_ray(self, p):
+        pen = PenaltySpec.pnorm(p)
+        Phi, y = _random_problem(30, 120, 8, seed=8)
+        lam = solver._initial_point(Phi, y, pen)
+        f = dual_objective(Phi, y, pen, lam)
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            assert f >= dual_objective(Phi, y, pen, factor * lam)
+
+
+class TestFit:
+    def test_l1_matches_solve_l1(self):
+        Phi, y = _random_problem(10, 50, 4, seed=16)
+        res = fit(Phi, y, PenaltySpec.pnorm(1.0))
+        assert res.status == STATUS_CONVERGED and res.iters == 0 and res.dual is None
+        np.testing.assert_array_equal(res.a, solve_l1(Phi, y).a)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_dual_matches_primal_recovery(self, p):
+        pen = PenaltySpec.pnorm(p)
+        Phi, y = _random_problem(10, 60, 4, seed=12)
+        sol = solve_dual(Phi, y, pen)
+        res = fit(Phi, y, pen)
+        assert res.status == STATUS_CONVERGED and res.iters == sol.iters
+        np.testing.assert_array_equal(res.a, primal_from_dual(Phi, pen, sol).a)
+        np.testing.assert_array_equal(res.dual.lambda_hat, sol.lambda_hat)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_infeasible_is_a_status(self, p):
+        Phi, y = _random_problem(20, 5, 6, seed=10)
+        res = fit(Phi, y, PenaltySpec.pnorm(p))
+        assert res.status == STATUS_INFEASIBLE and res.iters == 0
+        assert res.a is None and not res.from_converged
+
+    def test_max_iters_passes_through(self):
+        Phi, y = _random_problem(30, 120, 8, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NotConvergedWarning)
+            res = fit(Phi, y, PenaltySpec.pnorm(1.2), SolverOptions(max_iters=1))
+        assert res.status == STATUS_MAX_ITERS and res.iters == 1
+        assert res.a is None and res.residual == res.dual.grad_norm > 0
