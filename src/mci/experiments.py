@@ -271,6 +271,7 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
         inst = sample_data(ds, cfg.n, seed)
         test_seed = derived_seed(seed, "test")
         X_test = sample_covariates(ds, cfg.M_test, test_seed)
+        y_test = ds.target(X_test)
         ref_values, ref_noise = {}, {}
         if experiment != FIG1:
             for p in cfg.p_list:
@@ -289,9 +290,10 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
                 te = dist = math.nan
                 if ok:
                     values = Predictor(W=W, a=res.a, spec=spec).predict(X_test)
-                    te = test_error(values, ds, cfg.M_test, test_seed)
+                    te = test_error(values, ds, cfg.M_test, test_seed, X_test, y_test)
                     if ref_values:
-                        dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed)
+                        dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed,
+                                              X_test)
                 rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, res.iters, ok, wall))
                 if experiment == LATENT and ok and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
@@ -318,24 +320,26 @@ def run_fig1(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _fit_slopes(rows: list[Row]) -> dict:
-    """Least-squares log-log slope of mean distance versus N, per p."""
+    """Least-squares log-log slope of mean distance versus N, per p, over the
+    widths with a finite distance (a converged row).  A p with fewer than two
+    such widths gets slope None and a stated reason; the run still completes."""
     slopes = {}
     by_p: dict[float, dict[int, list[float]]] = {}
     for r in rows:
+        groups = by_p.setdefault(r.p, {})
         if math.isfinite(r.l2_to_ref):
-            by_p.setdefault(r.p, {}).setdefault(r.N, []).append(r.l2_to_ref)
+            groups.setdefault(r.N, []).append(r.l2_to_ref)
     for p, groups in by_p.items():
         Ns = sorted(groups)
-        if len(Ns) < 2:
-            raise ValueError("log-log slope needs at least two widths")
         means = np.array([np.mean(groups[N]) for N in Ns])
-        coef = np.polyfit(np.log(Ns), np.log(means), 1)
-        slopes[f"p={p:g}"] = {
-            "slope": float(coef[0]),
-            "intercept": float(coef[1]),
-            "N": Ns,
-            "mean_l2": means.tolist(),
-        }
+        report = {"slope": None, "intercept": None, "N": Ns, "mean_l2": means.tolist()}
+        if len(Ns) < 2:
+            report["reason"] = (f"{len(Ns)} width(s) with a converged row; "
+                                "a log-log slope needs at least two")
+        else:
+            coef = np.polyfit(np.log(Ns), np.log(means), 1)
+            report.update(slope=float(coef[0]), intercept=float(coef[1]))
+        slopes[f"p={p:g}"] = report
     return slopes
 
 

@@ -91,16 +91,27 @@ def kernel_interpolant(oracle: KernelOracle, inst: Instance, spec: FeatureSpec) 
     return KernelPredictor(X_train=inst.X, coeffs=coeffs, kernel=oracle, spec=spec)
 
 
-def l2_distance(f, g, ds: DataSpec, M: int, seed: int) -> tuple[float, float]:
+def _test_batch(ds: DataSpec, M: int, seed: int, X_test: np.ndarray | None) -> np.ndarray:
+    """The M covariates of `seed`: `X_test` when the caller already drew them
+    with ``sample_covariates(ds, M, seed)``, else drawn here."""
+    if M < 100:
+        raise TooFewSamples("need at least 100 Monte Carlo points")
+    if X_test is None:
+        return sample_covariates(ds, M, seed)
+    if X_test.shape != (M, ds.d):
+        raise DimMismatch(f"test batch {X_test.shape} is not ({M}, {ds.d})")
+    return X_test
+
+
+def l2_distance(f, g, ds: DataSpec, M: int, seed: int,
+                X_test: np.ndarray | None = None) -> tuple[float, float]:
     """Monte Carlo L2(P) distance between two predictors, with standard error.
 
     Either side may be a value vector already computed on this test batch
-    (see :func:`predict`).  Returns (sqrt(mean (f - g)^2), delta-method
-    standard error of the root).
+    (see :func:`predict`); `X_test` may pass the batch itself.  Returns
+    (sqrt(mean (f - g)^2), delta-method standard error of the root).
     """
-    if M < 100:
-        raise TooFewSamples("need at least 100 Monte Carlo points")
-    X = sample_covariates(ds, M, seed)
+    X = _test_batch(ds, M, seed, X_test)
     diff2 = (predict(f, X) - predict(g, X)) ** 2
     mean2 = float(np.mean(diff2))
     est = float(np.sqrt(mean2))
@@ -109,15 +120,20 @@ def l2_distance(f, g, ds: DataSpec, M: int, seed: int) -> tuple[float, float]:
     return est, se
 
 
-def test_error(f, ds: DataSpec, M: int, seed: int) -> float:
+def test_error(f, ds: DataSpec, M: int, seed: int, X_test: np.ndarray | None = None,
+               y_test: np.ndarray | None = None) -> float:
     """Monte Carlo mean-squared error against the ridge target.
 
     `f` may be a value vector already computed on this test batch (see
-    :func:`predict`).
+    :func:`predict`).  A caller that scores many models on one batch passes
+    the batch as `X_test` and the target's values on it as `y_test`, so
+    neither is recomputed per call.
     """
     if ds.target is None:
         raise NoTarget("test_error requires a ridge target in the data spec")
-    if M < 100:
-        raise TooFewSamples("need at least 100 Monte Carlo points")
-    X = sample_covariates(ds, M, seed)
-    return float(np.mean((predict(f, X) - ds.target(X)) ** 2))
+    X = _test_batch(ds, M, seed, X_test)
+    if y_test is None:
+        y_test = ds.target(X)
+    elif y_test.shape != (M,):
+        raise DimMismatch(f"target values {y_test.shape} do not match {M} test rows")
+    return float(np.mean((predict(f, X) - y_test) ** 2))

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog
 
 from .errors import DimMismatch, Infeasible, NotConvergedWarning, UndefinedForL1
@@ -182,7 +181,7 @@ def solve_dual(
     Phi = np.asarray(Phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_dims(Phi, y)
-    n, N = Phi.shape
+    N = Phi.shape[1]
     tol = float(opts.tol_grad_abs + opts.tol_grad_rel * np.linalg.norm(y))
 
     farkas = _farkas_direction(Phi, y, tol)
@@ -218,15 +217,7 @@ def solve_dual(
 
         u = Phi.T @ lam
         H = (Phi * link_s_prime(pen, u)) @ Phi.T / N  # = -hess, PSD
-        H = 0.5 * (H + H.T)
-        trace_H = float(np.trace(H))  # >= lambda_max(H); 0 only when H = 0
-        direction = None
-        if trace_H > 0:
-            try:
-                cf = scipy.linalg.cho_factor(H + opts.hessian_ridge * trace_H * np.eye(n))
-                direction = scipy.linalg.cho_solve(cf, g)
-            except scipy.linalg.LinAlgError:
-                direction = None
+        direction = _newton_direction(0.5 * (H + H.T), g, opts.hessian_ridge)
         if direction is None or g @ direction <= 0:
             direction = g  # singular-Hessian fallback
 
@@ -253,6 +244,30 @@ def solve_dual(
         converged=converged,
         status=status,
     )
+
+
+def _newton_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray | None:
+    """(H + ridge tr(H) I)^{-1} g by a Cholesky solve, for the PSD H = -hess F.
+
+    tr(H) bounds the largest eigenvalue of H, so the ridge is relative to its
+    scale.  Returns None when H = 0 or when the ridged matrix is not
+    numerically positive definite; the caller then steps along the gradient.
+
+    The factorisation runs on numpy's LAPACK, as does the Hessian product
+    before it.  The numpy and scipy wheels each bundle their own OpenBLAS with
+    its own thread pool; alternating a numpy product with a scipy factorisation
+    left each pool's spinning threads competing with the other's for the cores
+    (on 2 cores, n = 150, N = 512: about 15 ms per product and factorisation,
+    against 1-3 ms on numpy alone).
+    """
+    trace_H = float(np.trace(H))
+    if not trace_H > 0:
+        return None
+    try:
+        L = np.linalg.cholesky(H + ridge * trace_H * np.eye(H.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(L.T, np.linalg.solve(L, g))
 
 
 def _armijo(Phi, y, pen, lam, obj, g, direction, opts):

@@ -140,6 +140,22 @@ def test_scaling_cli(tmp_path, capsys):
     assert "slopes" in summary["extras"]
 
 
+def test_scaling_without_a_slope_writes_rows(tmp_path, capsys):
+    # p = 1.5 converges only at N = 64 (16 and 32 are below n = 40): no slope,
+    # but the rows are written and the run exits 2, not 1.
+    cfg = _write_config(
+        tmp_path, d=10, n=40, p_list=[1.5], N_list=[16, 32, 64], seeds=[0], M_test=200,
+        N_ref=512,
+    )
+    out_dir = tmp_path / "out"
+    code = main(["scaling", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    rows = load(out_dir).rows
+    assert [(r.N, r.converged) for r in rows] == [(16, False), (32, False), (64, True)]
+    slopes = json.loads((out_dir / "summary.json").read_text())["extras"]["slopes"]
+    assert slopes["p=1.5"]["slope"] is None and slopes["p=1.5"]["reason"]
+
+
 def test_scaling_reference_failure_exit_code(tmp_path, capsys):
     # N_ref < n: the p = 1.5 reference is infeasible, a fatal error.
     cfg = _write_config(

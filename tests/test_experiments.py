@@ -214,6 +214,18 @@ class TestScaling:
                                  N_list=[64], seeds=[0])
             )
 
+    def test_width_short_of_a_slope_keeps_the_rows(self):
+        # N = 16, 32 < n = 40 are infeasible, so p = 1.5 converges at one
+        # width only: it gets no slope and a reason, and every row is kept.
+        cfg = ExperimentConfig(experiment="scaling", d=10, n=40, p_list=[1.5],
+                               N_list=[16, 32, 64], seeds=[0], M_test=200, N_ref=512)
+        res = run_scaling(cfg)
+        assert [(r.N, r.converged) for r in res.rows] == [(16, False), (32, False), (64, True)]
+        assert res.any_row_failed
+        rep = res.extras["slopes"]["p=1.5"]
+        assert rep["slope"] is None and rep["intercept"] is None
+        assert rep["N"] == [64] and "at least two" in rep["reason"]
+
     def test_slope_report(self):
         cfg = ExperimentConfig(
             experiment="scaling", d=5, n=16, p_list=[2.0], N_list=[64, 128, 256],
@@ -372,6 +384,33 @@ class TestSweepEngine:
         assert calls == {("finite", 512, 1_000): 2, ("kernel", 1_000): 2,
                          ("finite", 32, 1_000): 4, ("finite", 64, 1_000): 4,
                          ("finite", 128, 1_000): 4}
+
+    def test_test_batch_drawn_and_scored_once_per_seed(self, monkeypatch):
+        # One covariate draw and one target evaluation of M_test rows per seed,
+        # however many rows the seed scores; the training sample is the other.
+        import mci.features as features
+        import mci.predict as predict
+
+        draws, targets = collections.Counter(), collections.Counter()
+        sample_covariates, target_call = features.sample_covariates, features.RidgeTarget.__call__
+
+        def count_draw(ds, n, seed):
+            draws[n] += 1
+            return sample_covariates(ds, n, seed)
+
+        def count_target(self, X):
+            targets[len(X)] += 1
+            return target_call(self, X)
+
+        for module in (features, experiments, predict):
+            monkeypatch.setattr(module, "sample_covariates", count_draw)
+        monkeypatch.setattr(features.RidgeTarget, "__call__", count_target)
+        cfg = ExperimentConfig(experiment="scaling", d=5, n=12, p_list=[1.5, 2.0],
+                               N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000, N_ref=512)
+        res = run_scaling(cfg)
+        assert len(res.rows) == 12 and all(r.converged for r in res.rows)
+        assert draws == {12: 2, 1_000: 2}
+        assert targets == {12: 2, 1_000: 2}
 
 
 class TestAudit:

@@ -186,6 +186,32 @@ class TestTestError:
             mse_vs_target(lambda X: X[:, 0], ds, 1_000, seed=0)
 
 
+class TestPassedTestBatch:
+    def test_scores_are_bitwise_those_of_a_fresh_draw(self):
+        ds = _ds(6, seed=13)
+        f = lambda X: np.sin(X[:, 0])  # noqa: E731
+        g = lambda X: X[:, 1]  # noqa: E731
+        X = sample_covariates(ds, 2_000, 5)
+        assert mse_vs_target(f, ds, 2_000, 5, X, ds.target(X)) == mse_vs_target(f, ds, 2_000, 5)
+        assert mse_vs_target(f, ds, 2_000, 5, X) == mse_vs_target(f, ds, 2_000, 5)
+        assert l2_distance(f, g, ds, 2_000, 5, X) == l2_distance(f, g, ds, 2_000, 5)
+
+    @pytest.mark.parametrize("shape", [(1_999, 6), (2_000, 5)])
+    def test_batch_of_wrong_shape_rejected(self, shape):
+        ds = _ds(6, seed=13)
+        X = np.zeros(shape)
+        with pytest.raises(DimMismatch):
+            mse_vs_target(lambda X: X[:, 0], ds, 2_000, 5, X)
+        with pytest.raises(DimMismatch):
+            l2_distance(lambda X: X[:, 0], lambda X: X[:, 0], ds, 2_000, 5, X)
+
+    def test_target_values_of_wrong_length_rejected(self):
+        ds = _ds(6, seed=13)
+        X = sample_covariates(ds, 2_000, 5)
+        with pytest.raises(DimMismatch):
+            mse_vs_target(lambda X: X[:, 0], ds, 2_000, 5, X, np.zeros(1))
+
+
 class TestKernelPredictorType:
     def test_fields(self):
         ds = _ds(5)

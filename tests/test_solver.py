@@ -416,3 +416,58 @@ class TestFit:
             res = fit(Phi, y, PenaltySpec.pnorm(1.2), SolverOptions(max_iters=1))
         assert res.status == STATUS_MAX_ITERS and res.iters == 1
         assert res.a is None and res.residual == res.dual.grad_norm > 0
+
+
+class TestNewtonDirection:
+    @staticmethod
+    def _newton_systems(monkeypatch, p):
+        """Every (H, g, ridge) the Newton loop solves on one instance."""
+        systems = []
+        direction = solver._newton_direction
+
+        def record(H, g, ridge):
+            systems.append((H, g, ridge))
+            return direction(H, g, ridge)
+
+        monkeypatch.setattr(solver, "_newton_direction", record)
+        Phi, y = _random_problem(30, 120, 8, seed=8)
+        assert solve_dual(Phi, y, PenaltySpec.pnorm(p)).converged
+        return systems
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
+    def test_matches_scipy_cholesky_solve(self, monkeypatch, p):
+        # The numpy Cholesky solve replaced scipy's cho_factor/cho_solve; the
+        # two agree to rounding (about 1e-14 here) on every Newton system.
+        import scipy.linalg
+
+        newton_direction = solver._newton_direction
+        systems = self._newton_systems(monkeypatch, p)
+        assert systems
+        for H, g, ridge in systems:
+            A = H + ridge * np.trace(H) * np.eye(len(g))
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), g)
+            got = newton_direction(H, g, ridge)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_zero_hessian_has_no_direction(self):
+        assert solver._newton_direction(np.zeros((3, 3)), np.ones(3), 1e-12) is None
+
+    def test_failed_cholesky_steps_along_the_gradient(self, monkeypatch):
+        def not_positive_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        directions = []
+        armijo = solver._armijo
+
+        def record(Phi, y, pen, lam, obj, g, direction, opts):
+            directions.append(direction is g)
+            return armijo(Phi, y, pen, lam, obj, g, direction, opts)
+
+        monkeypatch.setattr(solver.np.linalg, "cholesky", not_positive_definite)
+        monkeypatch.setattr(solver, "_armijo", record)
+        Phi, y = _random_problem(30, 120, 8, seed=8)
+        sol = solve_dual(Phi, y, PenaltySpec.pnorm(1.5), SolverOptions(max_iters=20))
+        assert sol.status in (STATUS_CONVERGED, STATUS_MAX_ITERS, solver.STATUS_LINE_SEARCH_FAILED)
+        assert sol.iters > 0 and directions and all(directions)
+        assert sol.objective > dual_objective(Phi, y, PenaltySpec.pnorm(1.5),
+                                              solver._initial_point(Phi, y, PenaltySpec.pnorm(1.5)))
