@@ -39,7 +39,9 @@ from .features import (
     FeatureSpec,
     Instance,
     KernelOracle,
+    _draw_weights,
     apply_activation,
+    featurize,
     mean_features,
     sample_covariates,
 )
@@ -272,8 +274,6 @@ def assumption_report(
     radius at which the worst-direction small-ball probability stays below 1/4
     (a 25th-percentile estimate).
     """
-    from .features import _draw_weights, featurize  # local import avoids cycle
-
     rng = rng_from(seed, "weights", 77)
     W = _draw_weights(spec, inst.d, n_samples, rng)
     Phi = featurize(spec, inst.X, W, seed=int(rng.integers(2**32)))  # n x M

@@ -126,8 +126,14 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         raw = dict(raw)
-        if "solver" in raw and isinstance(raw["solver"], dict):
-            raw["solver"] = SolverOptions(**raw["solver"])
+        solver = raw.get("solver", SolverOptions())
+        if isinstance(solver, dict):
+            unknown = set(solver) - {f.name for f in fields(SolverOptions)}
+            if unknown:
+                raise ValueError(f"unknown solver keys: {sorted(unknown)}")
+            raw["solver"] = SolverOptions(**solver)
+        elif not isinstance(solver, SolverOptions):
+            raise ValueError(f"solver must be a dict of solver options, not {solver!r}")
         return cls(**raw)
 
     def with_overrides(self, assignments: list[str]) -> "ExperimentConfig":
@@ -142,6 +148,8 @@ class ExperimentConfig:
             except json.JSONDecodeError:
                 parsed = value
             if key.startswith("solver."):
+                if not isinstance(raw["solver"], dict):
+                    raise ValueError(f"solver must be a dict of solver options, not {raw['solver']!r}")
                 raw["solver"][key.split(".", 1)[1]] = parsed
             else:
                 raw[key] = parsed
@@ -419,7 +427,10 @@ def run_audit(cfg: ExperimentConfig) -> dict:
             )
             doc["event_budget"] = as_json_dict(budget)
         else:
-            doc["event_budget"] = {"error": "finite or reference solve did not converge"}
+            doc["event_budget"] = {
+                "error": f"finite solve (N={N}) ended {sol.status}; "
+                f"reference solve (N_ref={cfg.N_ref}) ended {sol_ref.status}"
+            }
     return doc
 
 

@@ -15,6 +15,7 @@ reports every outcome as one of the STATUS_* strings.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,29 +32,30 @@ STATUS_INFEASIBLE = "infeasible"
 
 L1_RESIDUAL_RTOL = 1e-8
 
+# Newton step: ridge relative to tr(-hess F); Armijo sufficient-increase
+# constant, backtracking factor and the number of trial steps.
+HESSIAN_RIDGE = 1e-12
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 50
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_grad_rel: float = 1e-8
     tol_grad_abs: float = 1e-10
     max_iters: int = 500
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 50
-    hessian_ridge: float = 1e-12
 
     def __post_init__(self):
-        if min(
-            self.tol_grad_rel,
-            self.tol_grad_abs,
-            self.max_iters,
-            self.armijo_c1,
-            self.max_backtracks,
-            self.hessian_ridge,
-        ) <= 0:
-            raise ValueError("all solver options must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+        values = (self.tol_grad_rel, self.tol_grad_abs, self.max_iters)
+        if not (
+            all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0 for v in values)
+            and isinstance(self.max_iters, numbers.Integral)
+        ):
+            raise ValueError(
+                "solver options: tol_grad_rel and tol_grad_abs must be positive numbers "
+                f"and max_iters a positive integer (got {values})"
+            )
 
 
 @dataclass
@@ -63,8 +65,11 @@ class DualSolution:
     objective: float
     iters: int
     trace: list[tuple[int, float, float, float]]  # (iter, objective, grad_norm, step)
-    converged: bool
     status: str = STATUS_CONVERGED
+
+    @property
+    def converged(self) -> bool:
+        return self.status == STATUS_CONVERGED
 
 
 @dataclass
@@ -72,7 +77,6 @@ class PrimalSolution:
     a: np.ndarray | None  # None when the solve did not converge (see `fit`)
     objective_primal: float  # sum_j rho(a_j)
     residual: float  # ||(1/N) Phi a - y||_2
-    from_converged: bool = True
     status: str = STATUS_CONVERGED
     iters: int = 0  # Newton iterations; 0 for the linear program
     dual: DualSolution | None = None  # the dual solve behind a p > 1 fit
@@ -107,9 +111,13 @@ def dual_hessian(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndarr
     """hess F = -(1/N) Phi diag(s'(Phi^T lambda)) Phi^T; negative semidefinite."""
     Phi, y, lam = (np.asarray(a, dtype=np.float64) for a in (Phi, y, lam))
     _check_dims(Phi, y, lam)
-    u = Phi.T @ lam
+    return -_curvature(Phi, pen, Phi.T @ lam)
+
+
+def _curvature(Phi: np.ndarray, pen: PenaltySpec, u: np.ndarray) -> np.ndarray:
+    """-hess F = (1/N) Phi diag(s'(u)) Phi^T at u = Phi^T lambda, symmetrised; PSD."""
     H = (Phi * link_s_prime(pen, u)) @ Phi.T / Phi.shape[1]
-    return -0.5 * (H + H.T)
+    return 0.5 * (H + H.T)
 
 
 def _farkas_direction(Phi: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray | None:
@@ -167,13 +175,19 @@ def solve_dual(
     or non-ascent direction falls back to plain gradient ascent for that
     iteration.  Declares convergence when ||grad||_2 <= tol_abs + tol_rel ||y||_2.
 
+    Iterate k = 0, 1, ..., max_iters is tested in this order: converged when
+    its gradient meets the tolerance, else max_iters when k = max_iters, else
+    line_search_failed when no step along the Newton direction or the
+    gradient is accepted.  Each iterate appends one trace entry, so the trace
+    has iters + 1 entries and the last one holds grad_norm.
+
     The gradient (the interpolation residual) is y minus a vector of
     range(Phi), so its norm never falls below dist(y, range Phi).  With N < n
     that distance is tested before any Newton work; when it exceeds the
     tolerance the problem is certified infeasible and the solution has
-    status "infeasible", converged=False, iters=0 and, as lambda_hat, the
-    unit Farkas direction v (Phi^T v ~ 0, <v, y> = dist(y, range Phi) > 0),
-    along which the dual objective grows without bound.
+    status "infeasible", iters=0 and, as lambda_hat, the unit Farkas
+    direction v (Phi^T v ~ 0, <v, y> = dist(y, range Phi) > 0), along which
+    the dual objective grows without bound.
     """
     if pen.is_l1:
         raise UndefinedForL1("solve_dual does not handle p=1; use solve_l1")
@@ -181,73 +195,45 @@ def solve_dual(
     Phi = np.asarray(Phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_dims(Phi, y)
-    N = Phi.shape[1]
     tol = float(opts.tol_grad_abs + opts.tol_grad_rel * np.linalg.norm(y))
 
     farkas = _farkas_direction(Phi, y, tol)
     if farkas is not None:
         obj = dual_objective(Phi, y, pen, farkas)
         gn = float(np.linalg.norm(dual_gradient(Phi, y, pen, farkas)))
-        return DualSolution(
-            lambda_hat=farkas,
-            grad_norm=gn,
-            objective=obj,
-            iters=0,
-            trace=[(0, obj, gn, 0.0)],
-            converged=False,
-            status=STATUS_INFEASIBLE,
-        )
+        return DualSolution(farkas, gn, obj, 0, [(0, obj, gn, 0.0)], STATUS_INFEASIBLE)
 
     lam = np.array(init, dtype=np.float64) if init is not None else _initial_point(Phi, y, pen)
-
-    trace: list[tuple[int, float, float, float]] = []
     obj = dual_objective(Phi, y, pen, lam)
-    gn = float(np.linalg.norm(dual_gradient(Phi, y, pen, lam)))
-    iters = 0
+    trace: list[tuple[int, float, float, float]] = []
     step = 0.0
-    status = STATUS_MAX_ITERS
-    for k in range(opts.max_iters):
-        iters = k
+    for k in range(opts.max_iters + 1):
         g = dual_gradient(Phi, y, pen, lam)
         gn = float(np.linalg.norm(g))
         trace.append((k, obj, gn, step))
         if gn <= tol:
             status = STATUS_CONVERGED
             break
+        if k == opts.max_iters:
+            status = STATUS_MAX_ITERS
+            break
 
         u = Phi.T @ lam
-        H = (Phi * link_s_prime(pen, u)) @ Phi.T / N  # = -hess, PSD
-        direction = _newton_direction(0.5 * (H + H.T), g, opts.hessian_ridge)
+        direction = _newton_direction(_curvature(Phi, pen, u), g)
         if direction is None or g @ direction <= 0:
             direction = g  # singular-Hessian fallback
 
-        accepted, lam, obj, step = _armijo(Phi, y, pen, lam, obj, g, direction, opts)
+        accepted, lam, obj, step = _armijo(Phi, y, pen, lam, u, obj, g, direction)
         if not accepted and direction is not g:
-            accepted, lam, obj, step = _armijo(Phi, y, pen, lam, obj, g, g, opts)
+            accepted, lam, obj, step = _armijo(Phi, y, pen, lam, u, obj, g, g)
         if not accepted:
             status = STATUS_LINE_SEARCH_FAILED
             break
-    else:
-        iters = opts.max_iters
-        gn = float(np.linalg.norm(dual_gradient(Phi, y, pen, lam)))
-        trace.append((iters, obj, gn, step))
-
-    converged = gn <= tol
-    if converged:
-        status = STATUS_CONVERGED
-    return DualSolution(
-        lambda_hat=lam,
-        grad_norm=gn,
-        objective=obj,
-        iters=iters,
-        trace=trace,
-        converged=converged,
-        status=status,
-    )
+    return DualSolution(lam, gn, obj, k, trace, status)
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray | None:
-    """(H + ridge tr(H) I)^{-1} g by a Cholesky solve, for the PSD H = -hess F.
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """(H + HESSIAN_RIDGE tr(H) I)^{-1} g by a Cholesky solve, for the PSD H = -hess F.
 
     tr(H) bounds the largest eigenvalue of H, so the ridge is relative to its
     scale.  Returns None when H = 0 or when the ridged matrix is not
@@ -264,21 +250,21 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray 
     if not trace_H > 0:
         return None
     try:
-        L = np.linalg.cholesky(H + ridge * trace_H * np.eye(H.shape[0]))
+        L = np.linalg.cholesky(H + HESSIAN_RIDGE * trace_H * np.eye(H.shape[0]))
     except np.linalg.LinAlgError:
         return None
     return np.linalg.solve(L.T, np.linalg.solve(L, g))
 
 
-def _armijo(Phi, y, pen, lam, obj, g, direction, opts):
-    """Backtracking line search along an ascent direction.
+def _armijo(Phi, y, pen, lam, u, obj, g, direction):
+    """Backtracking line search from lam (with u = Phi^T lam) along an ascent
+    direction.
 
     Returns (accepted, new_lam, new_obj, step).  The trial objective is
     evaluated incrementally: Phi^T direction is computed once.
     """
     slope = float(g @ direction)
     du = Phi.T @ direction
-    u = Phi.T @ lam
     base_inner = float(lam @ y)
     dir_inner = float(direction @ y)
     # Rounding-level slack: near the optimum the true improvement sinks below
@@ -286,11 +272,11 @@ def _armijo(Phi, y, pen, lam, obj, g, direction, opts):
     # (which still contract the gradient quadratically) would be rejected.
     slack = 4.0 * np.finfo(np.float64).eps * (1.0 + abs(obj))
     t = 1.0
-    for _ in range(opts.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         trial_obj = (base_inner + t * dir_inner) - float(np.mean(conjugate(pen, u + t * du)))
-        if trial_obj >= obj + opts.armijo_c1 * t * slope - slack:
+        if trial_obj >= obj + ARMIJO_C1 * t * slope - slack:
             return True, lam + t * direction, trial_obj, t
-        t *= opts.backtrack_factor
+        t *= BACKTRACK_FACTOR
     return False, lam, obj, 0.0
 
 
@@ -308,7 +294,6 @@ def primal_from_dual(Phi: np.ndarray, pen: PenaltySpec, sol: DualSolution) -> Pr
         a=a,
         objective_primal=float(np.sum(rho(pen, a))),
         residual=sol.grad_norm,
-        from_converged=sol.converged,
         status=sol.status,
         iters=sol.iters,
         dual=sol,
@@ -371,8 +356,8 @@ def fit(
         try:
             return solve_l1(Phi, y, opts)
         except Infeasible:
-            return PrimalSolution(None, math.nan, math.nan, False, STATUS_INFEASIBLE)
+            return PrimalSolution(None, math.nan, math.nan, STATUS_INFEASIBLE)
     sol = solve_dual(Phi, y, pen, opts)
     if not sol.converged:
-        return PrimalSolution(None, math.nan, sol.grad_norm, False, sol.status, sol.iters, sol)
+        return PrimalSolution(None, math.nan, sol.grad_norm, sol.status, sol.iters, sol)
     return primal_from_dual(Phi, pen, sol)

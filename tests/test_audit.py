@@ -35,7 +35,7 @@ from mci.features import (
     whiten,
 )
 from mci.penalty import PenaltySpec
-from mci.solver import SolverOptions, solve_dual
+from mci.solver import STATUS_MAX_ITERS, SolverOptions, solve_dual
 
 
 class TestHermiteCoefficients:
@@ -221,7 +221,7 @@ class TestEventAudit:
 
         fin = _solved(self.spec, self.inst, self.pen, 256, 9, self.opts)
         bad = SolvedModel(
-            fin.W, fin.Phi, dataclasses.replace(fin.solution, converged=False)
+            fin.W, fin.Phi, dataclasses.replace(fin.solution, status=STATUS_MAX_ITERS)
         )
         with pytest.raises(NotConverged):
             event_audit(self.inst, self.pen, self.spec, bad, fin, self.oracle,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mci.cli import main
 from mci.experiments import CSV_COLUMNS, load
 
@@ -126,6 +128,17 @@ def test_fatal_error_exit_code(tmp_path, capsys):
     code = main(["fig1", "--config", str(bad)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["solver.foo=1"], ["solver=3"], ["solver=3", "solver.max_iters=1"], ["solver.max_iters=1.5"]],
+)
+def test_bad_solver_block_exit_code(capsys, overrides):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    code = main(["solve", "--set", "n=12", "--set", "d=5", "--N", "32", *sets])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_scaling_cli(tmp_path, capsys):

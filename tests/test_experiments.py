@@ -53,8 +53,16 @@ class TestConfig:
             run_fig1(ExperimentConfig(d=5, n=12, p_list=[1.5], N_list=[64], M_test=50))
 
     def test_from_dict_unknown_key(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict({"frobnicate": 1})
+        for raw, message in (
+            ({"frobnicate": 1}, "frobnicate"),
+            ({"solver": {"foo": 1}}, r"unknown solver keys: \['foo'\]"),
+            ({"solver": {"armijo_c1": 1e-4}}, "armijo_c1"),
+            ({"solver": 3}, "solver must be a dict"),
+            ({"solver": {"max_iters": 1.5}}, "max_iters a positive integer"),
+            ({"solver": {"tol_grad_rel": "tight"}}, "positive numbers"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_dict(raw)
 
     def test_overrides(self):
         cfg = ExperimentConfig().with_overrides(
@@ -425,3 +433,20 @@ class TestAudit:
         assert doc["hermite"]["mu"][1] == pytest.approx(1.0, abs=1e-10)
         assert doc["assumptions"]["smallball_prob"] <= 0.12
         assert isinstance(doc["event_budget"]["holds"], bool)
+
+    @pytest.mark.parametrize(
+        "N, solver, expected",
+        [
+            (256, {"max_iters": 1},
+             "finite solve (N=256) ended max_iters; reference solve (N_ref=1024) ended max_iters"),
+            (8, {},
+             "finite solve (N=8) ended infeasible; reference solve (N_ref=1024) ended converged"),
+        ],
+    )
+    def test_failed_solve_names_both_statuses(self, N, solver, expected):
+        cfg = ExperimentConfig.from_dict(dict(
+            experiment="audit", d=5, n=16, p_list=[1.5], N_list=[N], seeds=[0],
+            gamma=1.0, activation="identity", target_activation="identity",
+            M_test=2_000, N_ref=1024, m_max=8, quad_order=60, solver=solver,
+        ))
+        assert run_audit(cfg)["event_budget"] == {"error": expected}

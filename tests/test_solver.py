@@ -14,6 +14,7 @@ from mci.solver import (
     L1_RESIDUAL_RTOL,
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
+    STATUS_LINE_SEARCH_FAILED,
     STATUS_MAX_ITERS,
     DualSolution,
     SolverOptions,
@@ -157,6 +158,26 @@ class TestSolveDual:
         for prev, nxt in zip(objs, objs[1:]):
             assert nxt >= prev - 1e-12 * scale  # float dust from the Armijo slack
 
+    @pytest.mark.parametrize("status", [STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_LINE_SEARCH_FAILED])
+    def test_every_exit_ends_on_a_traced_iterate(self, monkeypatch, status):
+        # Each exit leaves the trace at iters + 1 entries, the last of which
+        # holds grad_norm, the true gradient norm at lambda_hat.
+        opts = SolverOptions()
+        if status == STATUS_MAX_ITERS:
+            opts = SolverOptions(max_iters=2)
+        if status == STATUS_LINE_SEARCH_FAILED:
+            monkeypatch.setattr(solver, "_armijo",
+                                lambda Phi, y, pen, lam, u, obj, g, d: (False, lam, obj, 0.0))
+        pen = PenaltySpec.pnorm(1.2)
+        Phi, y = _random_problem(30, 120, 8, seed=8)
+        sol = solve_dual(Phi, y, pen, opts)
+        assert sol.status == status
+        assert sol.converged == (sol.status == STATUS_CONVERGED)
+        assert len(sol.trace) == sol.iters + 1
+        assert sol.trace[-1][2] == sol.grad_norm
+        gn = np.linalg.norm(dual_gradient(Phi, y, pen, sol.lambda_hat))
+        assert sol.grad_norm == pytest.approx(gn, rel=1e-12)
+
     def test_underdetermined_flagged(self):
         # N < n: interpolation generically infeasible, gradient cannot vanish.
         Phi, y = _random_problem(20, 5, 6, seed=10)
@@ -196,7 +217,7 @@ class TestPrimalFromDual:
     def test_zero_dual_gives_zero_primal(self):
         sol = DualSolution(
             lambda_hat=np.zeros(3), grad_norm=0.0, objective=0.0, iters=0,
-            trace=[], converged=True,
+            trace=[], status=STATUS_CONVERGED,
         )
         prim = primal_from_dual(np.ones((3, 5)), P2, sol)
         np.testing.assert_array_equal(prim.a, np.zeros(5))
@@ -218,7 +239,7 @@ class TestPrimalFromDual:
         sol = solve_dual(Phi, y, P2, SolverOptions(max_iters=5))
         with pytest.warns(NotConvergedWarning):
             prim = primal_from_dual(Phi, P2, sol)
-        assert not prim.from_converged
+        assert prim.status == sol.status == STATUS_INFEASIBLE
 
 
 def _l1_bruteforce(Phi, y, tol=1e-9):
@@ -407,7 +428,7 @@ class TestFit:
         Phi, y = _random_problem(20, 5, 6, seed=10)
         res = fit(Phi, y, PenaltySpec.pnorm(p))
         assert res.status == STATUS_INFEASIBLE and res.iters == 0
-        assert res.a is None and not res.from_converged
+        assert res.a is None and np.isnan(res.objective_primal)
 
     def test_max_iters_passes_through(self):
         Phi, y = _random_problem(30, 120, 8, seed=8)
@@ -421,13 +442,13 @@ class TestFit:
 class TestNewtonDirection:
     @staticmethod
     def _newton_systems(monkeypatch, p):
-        """Every (H, g, ridge) the Newton loop solves on one instance."""
+        """Every (H, g) the Newton loop solves on one instance."""
         systems = []
         direction = solver._newton_direction
 
-        def record(H, g, ridge):
-            systems.append((H, g, ridge))
-            return direction(H, g, ridge)
+        def record(H, g):
+            systems.append((H, g))
+            return direction(H, g)
 
         monkeypatch.setattr(solver, "_newton_direction", record)
         Phi, y = _random_problem(30, 120, 8, seed=8)
@@ -443,14 +464,14 @@ class TestNewtonDirection:
         newton_direction = solver._newton_direction
         systems = self._newton_systems(monkeypatch, p)
         assert systems
-        for H, g, ridge in systems:
-            A = H + ridge * np.trace(H) * np.eye(len(g))
+        for H, g in systems:
+            A = H + solver.HESSIAN_RIDGE * np.trace(H) * np.eye(len(g))
             expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), g)
-            got = newton_direction(H, g, ridge)
+            got = newton_direction(H, g)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_zero_hessian_has_no_direction(self):
-        assert solver._newton_direction(np.zeros((3, 3)), np.ones(3), 1e-12) is None
+        assert solver._newton_direction(np.zeros((3, 3)), np.ones(3)) is None
 
     def test_failed_cholesky_steps_along_the_gradient(self, monkeypatch):
         def not_positive_definite(*args, **kwargs):
@@ -459,9 +480,9 @@ class TestNewtonDirection:
         directions = []
         armijo = solver._armijo
 
-        def record(Phi, y, pen, lam, obj, g, direction, opts):
+        def record(Phi, y, pen, lam, u, obj, g, direction):
             directions.append(direction is g)
-            return armijo(Phi, y, pen, lam, obj, g, direction, opts)
+            return armijo(Phi, y, pen, lam, u, obj, g, direction)
 
         monkeypatch.setattr(solver.np.linalg, "cholesky", not_positive_definite)
         monkeypatch.setattr(solver, "_armijo", record)
