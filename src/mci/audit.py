@@ -22,15 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptyGrid,
-    InsufficientTail,
-    InvalidExponents,
-    NotConverged,
-    QuadratureUnderResolved,
-    TooFewSamples,
-)
+from .errors import NotConverged, NumericalFailure
 from .features import (
+    CHUNK_ENTRIES,
     IDENTITY,
     RELU,
     TRUNCATED_RELU,
@@ -136,7 +130,7 @@ def hermite_coefficients(activation: Activation, m_max: int, quad_order: int) ->
     """Hermite coefficients mu_k = E[sigma(G) He_k(G)] and tails.
 
     The profile is accepted only if doubling the quadrature order moves no
-    coefficient by more than 1e-8; otherwise QuadratureUnderResolved is raised.
+    coefficient by more than 1e-8; otherwise NumericalFailure is raised.
     Tails are computed as kappa_{>m} = E[sigma^2] - sum_{k<=m} mu_k^2 / k!,
     which makes the Parseval identity hold by construction.
     """
@@ -148,7 +142,7 @@ def hermite_coefficients(activation: Activation, m_max: int, quad_order: int) ->
     mu, sigma_sq = _mu_at_order(activation, m_max, 2 * quad_order)
     drift = max(np.max(np.abs(mu - mu_lo)), abs(sigma_sq - s2_lo))
     if drift > _QUAD_STABLE_TOL:
-        raise QuadratureUnderResolved(
+        raise NumericalFailure(
             f"coefficients moved by {drift:.2e} when doubling the order"
         )
     factorials = np.array([math.factorial(k) for k in range(m_max + 1)], dtype=np.float64)
@@ -181,7 +175,7 @@ class HermiteConditionReport:
 def hermite_condition_check(profile: HermiteProfile, ell: int, C0: float) -> HermiteConditionReport:
     """Search for m > ell with kappa_{>m} <= kappa_{>ell} ((C0 m)^{-(2m+1)} ^ 1/4)."""
     if ell < 0 or ell >= len(profile.tails) - 1:
-        raise InsufficientTail(
+        raise ValueError(
             f"profile tails reach m = {len(profile.tails) - 1}, need beyond ell = {ell}"
         )
     kappa_ell = float(profile.tails[ell])
@@ -215,9 +209,9 @@ def smallball_estimate(
     """
     Psi = np.asarray(Psi_samples, dtype=np.float64)
     if Psi.ndim != 2 or Psi.shape[0] < 1_000:
-        raise TooFewSamples("need at least 1e3 whitened feature samples")
+        raise ValueError("need at least 1e3 whitened feature samples")
     if directions < 100:
-        raise TooFewSamples("need at least 1e2 probe directions")
+        raise ValueError("need at least 1e2 probe directions")
     M, n = Psi.shape
     rng = rng_from(seed, "directions")
     worst = 0.0
@@ -238,7 +232,7 @@ def subgaussian_proxy(samples: np.ndarray, mean_removed: bool = False) -> float:
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 1_000:
-        raise TooFewSamples("need at least 1e3 samples")
+        raise ValueError("need at least 1e3 samples")
     if not mean_removed:
         x = x - np.mean(x)
     tau = 1.0
@@ -353,7 +347,7 @@ def _lambda_grid(
 ) -> tuple[np.ndarray, int, int]:
     """Grid columns: the [lam_fin, lam_ref] segment plus random K-ball offsets."""
     if segment_points < 2:
-        raise EmptyGrid("need at least the two segment endpoints")
+        raise ValueError("need at least the two segment endpoints")
     ts = np.linspace(0.0, 1.0, segment_points)
     cols = [lam_fin + t * (lam_ref - lam_fin) for t in ts]
     idx_fin, idx_ref = 0, segment_points - 1
@@ -396,7 +390,7 @@ def event_audit(
     s_arg = oracle.norm_K(lam_ref)
     s_norm = float(link_s(pen, s_arg))
     if s_norm <= 0:
-        raise EmptyGrid("reference dual solution is zero; nothing to audit")
+        raise ValueError("reference dual solution is zero; nothing to audit")
 
     grid, idx_fin, idx_ref = _lambda_grid(
         lam_fin, lam_ref, oracle, segment_points, perturbations, seed
@@ -424,7 +418,7 @@ def event_audit(
     sq_diff = np.zeros(G)
     sq_ref_dev = np.zeros(G)
     sq_lhs = 0.0
-    rows = max(1, 2**24 // max(reference.W.shape[0], 1))
+    rows = max(1, CHUNK_ENTRIES // max(reference.W.shape[0], 1))
     for lo in range(0, M, rows):
         Xb = X_mc[lo : lo + rows]
         pf = mean_features(spec, Xb, finite.W) @ S_fin
@@ -479,7 +473,7 @@ def theorem_rate_budget(
     where M = tau^{Q+2+(2-q'+delta)_+} / eta^{q v 3} * (tau^{Q-2} v eta^{Q'-2}).
     """
     if pen.exponents is None or not all(math.isfinite(e) for e in pen.exponents):
-        raise InvalidExponents("rate budget needs finite growth exponents (p > 1)")
+        raise ValueError("rate budget needs finite growth exponents (p > 1)")
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")
     Q1, Q2, q1, q2 = pen.exponents

@@ -93,8 +93,6 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args, SOLVE)
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
     seed = cfg.seeds[0]
     N = args.N or cfg.N_list[-1]
     spec, ds = cfg.feature_spec(), cfg.data_spec()
@@ -167,7 +165,7 @@ def main(argv=None) -> int:
         if args.command == AUDIT:
             return _cmd_audit(args)
         return _cmd_experiment(args, args.command)
-    except (MciError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (MciError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

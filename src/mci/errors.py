@@ -1,80 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Malformed or out-of-range input (an argument, a config field, a results file)
+raises the built-in ValueError.  The classes below name the outcomes that a
+well-formed input can still end in, and exist because some caller tells them
+apart: the CLI reports any MciError, `solver.fit` turns Infeasible into a row
+status, and NotConvergedWarning marks a primal recovered from an unconverged
+dual.
+"""
 
 
 class MciError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UndefinedForL1(MciError):
-    """Conjugate/link operations are undefined for the l1 penalty sentinel."""
+class NumericalFailure(MciError):
+    """A kernel estimate or a quadrature cannot be trusted: a significantly
+    negative or no positive kernel eigenvalue, or Hermite coefficients that
+    move when the quadrature order doubles."""
 
 
-class NonFiniteInput(MciError):
-    """An input value is NaN or infinite where a finite number is required."""
-
-
-class EmptyGrid(MciError):
-    """A grid argument, or an audit's evaluation grid, contains no usable points."""
-
-
-class InvalidDim(MciError):
-    """A dimension or count argument is out of range."""
-
-
-class DimMismatch(MciError):
-    """Array shapes are inconsistent with each other."""
-
-
-class IncompatibleMethod(MciError):
-    """A closed-form kernel method was requested for an unsupported feature map."""
-
-
-class NotPSD(MciError):
-    """A kernel estimate has a significantly negative eigenvalue."""
-
-
-class SingularKernel(MciError):
-    """The kernel matrix cannot be inverted even after eigenvalue flooring."""
+class NotConverged(MciError):
+    """An operation requires a converged solve (including the reference
+    solve that stands in for infinite width) and did not get one."""
 
 
 class Infeasible(MciError):
     """The interpolation constraints admit no solution."""
-
-
-class QuadratureUnderResolved(MciError):
-    """Hermite coefficients did not stabilize when doubling the quadrature order."""
-
-
-class InsufficientTail(MciError):
-    """The Hermite profile does not extend far enough for the requested check."""
-
-
-class TooFewSamples(MciError):
-    """A Monte Carlo estimator was called with too few samples or directions."""
-
-
-class InvalidExponents(MciError):
-    """Penalty growth exponents are missing or non-finite."""
-
-
-class NoTarget(MciError):
-    """The data specification carries no evaluable target function."""
-
-
-class WrongSpec(MciError):
-    """The experiment requires a different feature specification."""
-
-
-class ReferenceFailed(MciError):
-    """The reference (surrogate infinite-width) solve did not converge."""
-
-
-class SchemaMismatch(MciError):
-    """A persisted results file does not match the expected column schema."""
-
-
-class NotConverged(MciError):
-    """An operation requires converged dual solutions."""
 
 
 class NotConvergedWarning(UserWarning):

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -27,7 +29,7 @@ from .audit import (
     hermite_condition_check,
     smallball_estimate,
 )
-from .errors import ReferenceFailed, SchemaMismatch, WrongSpec
+from .errors import NotConverged
 from .features import (
     ARC_COSINE,
     GAUSSIAN_ISOTROPIC,
@@ -70,6 +72,16 @@ AUDIT = "audit"
 SOLVE = "solve"
 
 
+def _is_instance(value, hint) -> bool:
+    """isinstance against a field annotation: a list[T] checks every item, int
+    and float take any integral or real number (bool is neither)."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_is_instance(v, item) for v in value)
+    hint = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
+    return isinstance(value, hint) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Fully-resolved experiment parameters; defaults follow the headline sweep
@@ -97,6 +109,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        hints = typing.get_type_hints(ExperimentConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_instance(value, hints[f.name]):
+                raise ValueError(f"config field {f.name} must be {f.type}, not {value!r}")
         if not self.p_list or not self.N_list or not self.seeds:
             raise ValueError("p_list, N_list, and seeds must be nonempty")
         if list(self.N_list) != sorted(self.N_list):
@@ -237,7 +254,7 @@ def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instanc
     Phi_ref, Z_ref = featurize(spec, inst.X, W_ref, seed=ref_seed, return_noise=True)
     ref = fit(Phi_ref, inst.y, PenaltySpec.pnorm(p), cfg.solver)
     if ref.status != STATUS_CONVERGED:
-        raise ReferenceFailed(f"reference solve ended {ref.status} (p={p}, N_ref={cfg.N_ref})")
+        raise NotConverged(f"reference solve ended {ref.status} (p={p}, N_ref={cfg.N_ref})")
     noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ ref.a / cfg.N_ref
     return Predictor(W=W_ref, a=ref.a, spec=spec), noise
 
@@ -369,7 +386,7 @@ def run_latent(cfg: ExperimentConfig) -> ExperimentResult:
     residual and the sigma_min(X) gate for the trend assertion.
     """
     if cfg.activation != IDENTITY or cfg.gamma <= 0:
-        raise WrongSpec("latent study needs activation='identity' and gamma > 0")
+        raise ValueError("latent study needs activation='identity' and gamma > 0")
     if len(cfg.N_list) < 2:
         raise ValueError("latent study needs at least two widths")
     rows, extras = _sweep(cfg, LATENT)
@@ -483,12 +500,10 @@ def load(path) -> ExperimentResult:
     """Load a persisted run (a directory with rows.csv, or a bare CSV file)."""
     path = Path(path)
     csv_path = path / "rows.csv" if path.is_dir() else path
-    if not csv_path.exists():
-        raise FileNotFoundError(csv_path)
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header.split(",") != list(CSV_COLUMNS):
-            raise SchemaMismatch(f"unexpected columns: {header!r}")
+            raise ValueError(f"unexpected columns: {header!r}")
         rows = []
         for line in fh:
             line = line.strip()
@@ -496,7 +511,7 @@ def load(path) -> ExperimentResult:
                 continue
             parts = line.split(",")
             if len(parts) != len(CSV_COLUMNS):
-                raise SchemaMismatch(f"row has {len(parts)} fields: {line!r}")
+                raise ValueError(f"row has {len(parts)} fields: {line!r}")
             rows.append(_parse_row(parts))
     config: dict = {}
     extras: dict = {}

@@ -15,13 +15,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    IncompatibleMethod,
-    InvalidDim,
-    NotPSD,
-    SingularKernel,
-)
+from .errors import NumericalFailure
 from .seeding import rng_from, row_rng
 
 RELU = "relu"
@@ -45,6 +39,10 @@ KERNEL_EIG_FLOOR = 1e-10
 NEG_EIG_TOL = 1e-8
 
 DEFAULT_MC_SAMPLES = 100_000
+
+# Mean-feature blocks over many rows (test batches, Monte Carlo cross kernels)
+# are built a row chunk at a time, each chunk near this many entries.
+CHUNK_ENTRIES = 2**24
 
 Activation = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -93,11 +91,11 @@ class Instance:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1:
-            raise InvalidDim("X must be 2-d and y 1-d")
+            raise ValueError("X must be 2-d and y 1-d")
         if X.shape[0] != y.shape[0]:
-            raise DimMismatch(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
         if X.shape[0] < 1 or X.shape[1] < 1:
-            raise InvalidDim("need n >= 1 and d >= 1")
+            raise ValueError("need n >= 1 and d >= 1")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("instance contains non-finite values")
         object.__setattr__(self, "X", X)
@@ -151,7 +149,7 @@ class DataSpec:
 
     def __post_init__(self):
         if self.d < 1:
-            raise InvalidDim("d must be >= 1")
+            raise ValueError("d must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +166,19 @@ def _draw_weights(spec: FeatureSpec, d: int, N: int, rng: np.random.Generator) -
 def sample_weights(spec: FeatureSpec, d: int, N: int, seed: int) -> np.ndarray:
     """N i.i.d. weight rows from spec.weight_dist; deterministic given seed."""
     if N < 1 or d < 1:
-        raise InvalidDim(f"need N >= 1 and d >= 1, got N={N}, d={d}")
+        raise ValueError(f"need N >= 1 and d >= 1, got N={N}, d={d}")
     return _draw_weights(spec, d, N, rng_from(seed, "weights"))
 
 
 def sample_covariates(ds: DataSpec, n: int, seed: int) -> np.ndarray:
     """n covariate rows from ds.covariate_dist."""
     if n < 1:
-        raise InvalidDim("n must be >= 1")
+        raise ValueError("n must be >= 1")
     rng = rng_from(seed, "data")
     if callable(ds.covariate_dist):
         X = np.asarray(ds.covariate_dist(rng, n, ds.d), dtype=np.float64)
         if X.shape != (n, ds.d):
-            raise DimMismatch(f"custom sampler returned shape {X.shape}")
+            raise ValueError(f"custom sampler returned shape {X.shape}")
         return X
     if ds.covariate_dist != UNIFORM_SPHERE_SQRT_D:
         raise ValueError(f"unknown covariate distribution {ds.covariate_dist!r}")
@@ -226,7 +224,7 @@ def featurize(
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
-        raise DimMismatch(f"X {X.shape} and W {W.shape} are not compatible")
+        raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
     Phi = apply_activation(spec.activation, X @ W.T)
     Z = None
     if spec.noise_gamma > 0:
@@ -240,7 +238,7 @@ def mean_feature(spec: FeatureSpec, x: np.ndarray, w: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape != w.shape or x.ndim != 1:
-        raise DimMismatch(f"x {x.shape} and w {w.shape} must be equal-length vectors")
+        raise ValueError(f"x {x.shape} and w {w.shape} must be equal-length vectors")
     return float(apply_activation(spec.activation, np.atleast_1d(x @ w))[0])
 
 
@@ -249,8 +247,18 @@ def mean_features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if X.shape[1] != W.shape[1]:
-        raise DimMismatch(f"X {X.shape} and W {W.shape} are not compatible")
+        raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
     return apply_activation(spec.activation, X @ W.T)
+
+
+def mean_features_dot(spec: FeatureSpec, X: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sigma(X W^T) @ B, built a row chunk of about CHUNK_ENTRIES mean features
+    at a time, so the (rows of X) x (rows of W) block is never held whole."""
+    rows = max(1, CHUNK_ENTRIES // W.shape[0])
+    out = np.empty((X.shape[0],) + B.shape[1:])
+    for lo in range(0, X.shape[0], rows):
+        out[lo : lo + rows] = mean_features(spec, X[lo : lo + rows], W) @ B
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +297,7 @@ class KernelOracle:
         """K^{-1} v using the floored eigenvalues."""
         lam = self._floored()
         if lam[-1] <= 0:
-            raise SingularKernel("kernel has no positive eigenvalue")
+            raise NumericalFailure("kernel has no positive eigenvalue")
         return self.evecs @ ((self.evecs.T @ v) / lam)
 
     def norm_K(self, v: np.ndarray) -> float:
@@ -302,16 +310,15 @@ class KernelOracle:
         """Noise-free cross kernel k_bar(x, x_i), shape m x n."""
         X_test = np.asarray(X_test, dtype=np.float64)
         if X_test.ndim != 2 or X_test.shape[1] != self.X.shape[1]:
-            raise DimMismatch(f"test rows have dimension {X_test.shape}")
+            raise ValueError(f"test rows have dimension {X_test.shape}")
         if self.method == LATENT_LINEAR:
             return X_test @ self.X.T / self.X.shape[1]
         if self.method == ARC_COSINE:
             return _arc_cosine_kernel(X_test, self.X)
         # fresh weights, sub-seeded independently of the training estimate
         W = _draw_weights(self.spec, self.X.shape[1], self.mc_samples, rng_from(self.seed, "cross"))
-        F_test = mean_features(self.spec, X_test, W)
         F_train = mean_features(self.spec, self.X, W)
-        return F_test @ F_train.T / self.mc_samples
+        return mean_features_dot(self.spec, X_test, W, F_train.T) / self.mc_samples
 
     def cross(self, X_test: np.ndarray) -> np.ndarray:
         """Cross kernel for prediction.
@@ -363,20 +370,20 @@ def kernel_matrix(
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise DimMismatch("X must be 2-d")
+        raise ValueError("X must be 2-d")
     n, d = X.shape
     stderr = None
     if method == ARC_COSINE:
         if spec.activation != RELU or spec.weight_dist != GAUSSIAN_ISOTROPIC:
-            raise IncompatibleMethod("arc-cosine closed form needs relu + gaussian weights")
+            raise ValueError("arc-cosine closed form needs relu + gaussian weights")
         Kbar = _arc_cosine_kernel(X, X)
     elif method == LATENT_LINEAR:
         if spec.activation != IDENTITY:
-            raise IncompatibleMethod("latent-linear closed form needs the identity activation")
+            raise ValueError("latent-linear closed form needs the identity activation")
         Kbar = X @ X.T / d
     elif method == MONTE_CARLO:
         if mc_samples < 1:
-            raise InvalidDim("mc_samples must be >= 1")
+            raise ValueError("mc_samples must be >= 1")
         W = _draw_weights(spec, d, mc_samples, rng_from(seed, "kernel"))
         F = mean_features(spec, X, W)  # n x M
         Kbar = F @ F.T / mc_samples
@@ -384,16 +391,16 @@ def kernel_matrix(
         var = np.maximum(second - Kbar**2, 0.0)
         stderr = np.sqrt(var / mc_samples)
     else:
-        raise IncompatibleMethod(f"unknown kernel method {method!r}")
+        raise ValueError(f"unknown kernel method {method!r}")
 
     K = Kbar + spec.noise_gamma**2 * np.eye(n)
     K = 0.5 * (K + K.T)
     evals, evecs = np.linalg.eigh(K)
     lam_max = float(evals[-1])
     if lam_max <= 0:
-        raise SingularKernel("kernel matrix has no positive eigenvalue")
+        raise NumericalFailure("kernel matrix has no positive eigenvalue")
     if method == MONTE_CARLO and evals[0] < -NEG_EIG_TOL * lam_max:
-        raise NotPSD(f"Monte Carlo kernel estimate has eigenvalue {evals[0]:.3e}")
+        raise NumericalFailure(f"Monte Carlo kernel estimate has eigenvalue {evals[0]:.3e}")
     floor = KERNEL_EIG_FLOOR * lam_max
     inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(np.maximum(evals, floor))) @ evecs.T
     inv_sqrt = 0.5 * (inv_sqrt + inv_sqrt.T)
@@ -416,7 +423,7 @@ def whiten(oracle: KernelOracle, Phi: np.ndarray) -> np.ndarray:
     """Whitened features Psi = K^{-1/2} Phi (columnwise)."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.shape[0] != oracle.n:
-        raise DimMismatch(f"Phi has {Phi.shape[0]} rows, oracle expects {oracle.n}")
+        raise ValueError(f"Phi has {Phi.shape[0]} rows, oracle expects {oracle.n}")
     return oracle.inv_sqrt @ Phi
 
 

@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidExponents, NonFiniteInput, UndefinedForL1
-
 # Clip for s' when Q < 2 (p > 2): the raw formula blows up at 0; the clip keeps
 # the Newton Hessian finite while leaving |x| >= EPS_LINK_PRIME untouched.
 EPS_LINK_PRIME = 1e-8
@@ -76,7 +74,7 @@ class PenaltySpec:
         :func:`validate_growth`.
         """
         if len(exponents) != 4 or not all(np.isfinite(e) and e > 1 for e in exponents):
-            raise InvalidExponents(f"exponents must be four finite values > 1, got {exponents}")
+            raise ValueError(f"exponents must be four finite values > 1, got {exponents}")
         return cls(
             p=None,
             exponents=tuple(float(e) for e in exponents),
@@ -101,7 +99,7 @@ class PenaltySpec:
 
     def _check_usable(self) -> None:
         if self.is_l1:
-            raise UndefinedForL1("conjugate/link are undefined for p=1; use solve_l1")
+            raise ValueError("conjugate/link are undefined for p=1; use solve_l1")
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -130,7 +128,7 @@ def conjugate(spec: PenaltySpec, x) -> float | np.ndarray:
     spec._check_usable()
     arr, scalar = _as_float_array(x)
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("conjugate requires finite input")
+        raise ValueError("conjugate requires finite input")
     if spec.p is not None:
         q = spec.p / (spec.p - 1.0)
         out = np.abs(arr) ** q / q
@@ -199,10 +197,10 @@ def validate_growth(
     report returns the binding c (min) and C (max) over the grid.
     """
     if spec.exponents is None or not all(np.isfinite(e) for e in spec.exponents):
-        raise InvalidExponents("validate_growth requires finite declared exponents")
+        raise ValueError("validate_growth requires finite declared exponents")
     pairs = [(float(a), float(b)) for a, b in grid]
     if not pairs:
-        raise EmptyGrid("validate_growth requires at least one (x1, x2) pair")
+        raise ValueError("validate_growth requires at least one (x1, x2) pair")
     if any(a == 0.0 or b == 0.0 for a, b in pairs):
         raise ValueError("grid pairs must be nonzero")
 

@@ -13,19 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NoTarget, TooFewSamples
 from .features import (
     DataSpec,
     FeatureSpec,
     Instance,
     KernelOracle,
-    mean_features,
+    mean_features_dot,
     sample_covariates,
 )
-
-# Keep per-chunk mean-feature blocks near this many entries when predicting on
-# large test batches against wide models.
-_CHUNK_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -38,19 +33,13 @@ class Predictor:
 
     def __post_init__(self):
         if self.W.ndim != 2 or self.a.shape != (self.W.shape[0],):
-            raise DimMismatch(f"W {self.W.shape} and a {self.a.shape} are inconsistent")
+            raise ValueError(f"W {self.W.shape} and a {self.a.shape} are inconsistent")
 
     def predict(self, X_test: np.ndarray) -> np.ndarray:
         X_test = np.asarray(X_test, dtype=np.float64)
         if X_test.ndim != 2 or X_test.shape[1] != self.W.shape[1]:
-            raise DimMismatch(f"test rows {X_test.shape} incompatible with W {self.W.shape}")
-        N = self.W.shape[0]
-        rows = max(1, _CHUNK_ENTRIES // N)
-        out = np.empty(X_test.shape[0])
-        for lo in range(0, X_test.shape[0], rows):
-            block = X_test[lo : lo + rows]
-            out[lo : lo + rows] = mean_features(self.spec, block, self.W) @ self.a / N
-        return out
+            raise ValueError(f"test rows {X_test.shape} incompatible with W {self.W.shape}")
+        return mean_features_dot(self.spec, X_test, self.W, self.a) / self.W.shape[0]
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,7 @@ def predict(pred, X_test: np.ndarray) -> np.ndarray:
     X_test = np.asarray(X_test, dtype=np.float64)
     if isinstance(pred, np.ndarray):
         if pred.shape != (X_test.shape[0],):
-            raise DimMismatch(f"values {pred.shape} do not match {X_test.shape[0]} test rows")
+            raise ValueError(f"values {pred.shape} do not match {X_test.shape[0]} test rows")
         return pred
     if hasattr(pred, "predict"):
         return pred.predict(X_test)
@@ -86,7 +75,7 @@ def predict(pred, X_test: np.ndarray) -> np.ndarray:
 def kernel_interpolant(oracle: KernelOracle, inst: Instance, spec: FeatureSpec) -> KernelPredictor:
     """Exact-fit kernel predictor with coefficients K^{-1} y."""
     if oracle.n != inst.n:
-        raise DimMismatch("oracle and instance disagree on n")
+        raise ValueError("oracle and instance disagree on n")
     coeffs = oracle.inv_apply(inst.y)
     return KernelPredictor(X_train=inst.X, coeffs=coeffs, kernel=oracle, spec=spec)
 
@@ -95,11 +84,11 @@ def _test_batch(ds: DataSpec, M: int, seed: int, X_test: np.ndarray | None) -> n
     """The M covariates of `seed`: `X_test` when the caller already drew them
     with ``sample_covariates(ds, M, seed)``, else drawn here."""
     if M < 100:
-        raise TooFewSamples("need at least 100 Monte Carlo points")
+        raise ValueError("need at least 100 Monte Carlo points")
     if X_test is None:
         return sample_covariates(ds, M, seed)
     if X_test.shape != (M, ds.d):
-        raise DimMismatch(f"test batch {X_test.shape} is not ({M}, {ds.d})")
+        raise ValueError(f"test batch {X_test.shape} is not ({M}, {ds.d})")
     return X_test
 
 
@@ -130,10 +119,10 @@ def test_error(f, ds: DataSpec, M: int, seed: int, X_test: np.ndarray | None = N
     neither is recomputed per call.
     """
     if ds.target is None:
-        raise NoTarget("test_error requires a ridge target in the data spec")
+        raise ValueError("test_error requires a ridge target in the data spec")
     X = _test_batch(ds, M, seed, X_test)
     if y_test is None:
         y_test = ds.target(X)
     elif y_test.shape != (M,):
-        raise DimMismatch(f"target values {y_test.shape} do not match {M} test rows")
+        raise ValueError(f"target values {y_test.shape} do not match {M} test rows")
     return float(np.mean((predict(f, X) - y_test) ** 2))

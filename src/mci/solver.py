@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimMismatch, Infeasible, NotConvergedWarning, UndefinedForL1
+from .errors import Infeasible, NotConvergedWarning
 from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
 
 STATUS_CONVERGED = "converged"
@@ -84,11 +84,11 @@ class PrimalSolution:
 
 def _check_dims(Phi: np.ndarray, y: np.ndarray, lam: np.ndarray | None = None) -> None:
     if Phi.ndim != 2:
-        raise DimMismatch("Phi must be n x N")
+        raise ValueError("Phi must be n x N")
     if y.shape != (Phi.shape[0],):
-        raise DimMismatch(f"y has shape {y.shape}, expected ({Phi.shape[0]},)")
+        raise ValueError(f"y has shape {y.shape}, expected ({Phi.shape[0]},)")
     if lam is not None and lam.shape != (Phi.shape[0],):
-        raise DimMismatch(f"lambda has shape {lam.shape}, expected ({Phi.shape[0]},)")
+        raise ValueError(f"lambda has shape {lam.shape}, expected ({Phi.shape[0]},)")
 
 
 def dual_objective(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndarray) -> float:
@@ -190,7 +190,7 @@ def solve_dual(
     the dual objective grows without bound.
     """
     if pen.is_l1:
-        raise UndefinedForL1("solve_dual does not handle p=1; use solve_l1")
+        raise ValueError("solve_dual does not handle p=1; use solve_l1")
     opts = opts or SolverOptions()
     Phi = np.asarray(Phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from mci.audit import SolvedModel, event_audit, hermite_coefficients, smallball_estimate
-from mci.errors import SchemaMismatch
 from mci.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -333,9 +332,9 @@ def test_criterion_11_persistence(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("experiment,p,n\nfig1,2,3\n")
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(ValueError, match="unexpected columns"):
         load(bad)
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text(",".join(reversed(CSV_COLUMNS)) + "\n")
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(ValueError, match="unexpected columns"):
         load(shuffled)

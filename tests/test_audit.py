@@ -16,14 +16,7 @@ from mci.audit import (
     subgaussian_proxy,
     theorem_rate_budget,
 )
-from mci.errors import (
-    EmptyGrid,
-    InsufficientTail,
-    InvalidExponents,
-    NotConverged,
-    QuadratureUnderResolved,
-    TooFewSamples,
-)
+from mci.errors import NotConverged, NumericalFailure
 from mci.features import (
     DataSpec,
     FeatureSpec,
@@ -70,7 +63,7 @@ class TestHermiteCoefficients:
 
     def test_under_resolved_raises(self):
         # |x| through the plain Gauss-Hermite path converges too slowly.
-        with pytest.raises(QuadratureUnderResolved):
+        with pytest.raises(NumericalFailure, match="when doubling the order"):
             hermite_coefficients(lambda x: np.abs(x), 4, 60)
 
     def test_order_validation(self):
@@ -109,7 +102,7 @@ class TestHermiteCondition:
 
     def test_insufficient_tail(self):
         prof = hermite_coefficients("relu", 3, 40)
-        with pytest.raises(InsufficientTail):
+        with pytest.raises(ValueError, match="need beyond ell = 2"):
             hermite_condition_check(prof, ell=2, C0=1.0)
 
 
@@ -140,9 +133,9 @@ class TestSmallBall:
         assert all(a <= b for a, b in zip(probs, probs[1:]))
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="1e3 whitened feature samples"):
             smallball_estimate(np.zeros((10, 3)), 0.1, 128, seed=0)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="1e2 probe directions"):
             smallball_estimate(np.zeros((2_000, 3)), 0.1, 10, seed=0)
 
 
@@ -163,7 +156,7 @@ class TestSubgaussianProxy:
         assert subgaussian_proxy(g) == pytest.approx(3.0, rel=0.05)
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="need at least 1e3 samples"):
             subgaussian_proxy(np.zeros(10))
 
 
@@ -213,7 +206,7 @@ class TestEventAudit:
 
     def test_grid_needs_both_endpoints(self):
         lam = np.ones(self.inst.n)
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match="two segment endpoints"):
             _lambda_grid(lam, lam, self.oracle, segment_points=1, perturbations=0, seed=0)
 
     def test_requires_convergence(self):
@@ -262,7 +255,7 @@ class TestRateBudget:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_l1_rejected(self):
-        with pytest.raises(InvalidExponents):
+        with pytest.raises(ValueError, match="finite growth exponents"):
             theorem_rate_budget(1.0, 1.0, PenaltySpec.pnorm(1.0), 100, 10_000)
 
     def test_positive_scale_required(self):

@@ -132,7 +132,8 @@ def test_fatal_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "overrides",
-    [["solver.foo=1"], ["solver=3"], ["solver=3", "solver.max_iters=1"], ["solver.max_iters=1.5"]],
+    [["solver.foo=1"], ["solver=3"], ["solver=3", "solver.max_iters=1"], ["solver.max_iters=1.5"],
+     ["n=abc"], ["M_test=abc"], ["N_list=64"], ["seeds=3"], ['gamma="x"'], ['threads="2"']],
 )
 def test_bad_solver_block_exit_code(capsys, overrides):
     sets = [arg for item in overrides for arg in ("--set", item)]

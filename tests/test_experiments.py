@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mci.experiments as experiments
-from mci.errors import SchemaMismatch, TooFewSamples, WrongSpec
+from mci.errors import NumericalFailure
 from mci.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -60,6 +60,13 @@ class TestConfig:
             ({"solver": 3}, "solver must be a dict"),
             ({"solver": {"max_iters": 1.5}}, "max_iters a positive integer"),
             ({"solver": {"tol_grad_rel": "tight"}}, "positive numbers"),
+            ({"n": "abc"}, "field n must be int"),
+            ({"M_test": "abc"}, "field M_test must be int"),
+            ({"N_list": 64}, r"field N_list must be list\[int\]"),
+            ({"seeds": 3}, r"field seeds must be list\[int\]"),
+            ({"p_list": [2.0, True]}, r"field p_list must be list\[float\]"),
+            ({"gamma": "x"}, "field gamma must be float"),
+            ({"threads": "2"}, "field threads must be int"),
         ):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig.from_dict(raw)
@@ -118,13 +125,13 @@ class TestPersistence:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("experiment,p,n,N,seed,test_error\nfig1,2,5,8,0,0.1\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValueError, match="unexpected columns"):
             load(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\nfig1,2.0,5,8\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValueError, match="row has 4 fields"):
             load(path)
 
 
@@ -167,10 +174,10 @@ class TestFig1:
         # Only the fit is guarded: an evaluation error propagates instead of
         # recording a converged solve as converged=False.
         def fail(*args, **kwargs):
-            raise TooFewSamples("evaluation failed")
+            raise NumericalFailure("evaluation failed")
 
         monkeypatch.setattr(experiments, "test_error", fail)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(NumericalFailure, match="evaluation failed"):
             run_fig1(ExperimentConfig(d=5, n=12, p_list=[1.5], N_list=[64], seeds=[0],
                                       M_test=1_000))
 
@@ -248,10 +255,10 @@ class TestScaling:
 
 class TestLatent:
     def test_wrong_spec(self):
-        with pytest.raises(WrongSpec):
+        with pytest.raises(ValueError, match="activation='identity' and gamma > 0"):
             run_latent(ExperimentConfig(experiment="latent", activation="relu", gamma=1.0,
                                         d=5, n=16, p_list=[2.0], N_list=[32, 64], seeds=[0]))
-        with pytest.raises(WrongSpec):
+        with pytest.raises(ValueError, match="activation='identity' and gamma > 0"):
             run_latent(ExperimentConfig(experiment="latent", activation="identity", gamma=0.0,
                                         d=5, n=16, p_list=[2.0], N_list=[32, 64], seeds=[0]))
 

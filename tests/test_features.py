@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from mci.errors import DimMismatch, IncompatibleMethod, InvalidDim
+import mci.features as features
 from mci.features import (
     DataSpec,
     FeatureSpec,
@@ -14,6 +14,7 @@ from mci.features import (
     kernel_matrix,
     mean_feature,
     mean_features,
+    sample_covariates,
     sample_data,
     sample_weights,
     whiten,
@@ -34,9 +35,9 @@ class TestSampleWeights:
         np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, atol=1e-12)
 
     def test_invalid_dims(self):
-        with pytest.raises(InvalidDim):
+        with pytest.raises(ValueError, match="N=0, d=4"):
             sample_weights(RELU_GAUSS, 4, 0, seed=0)
-        with pytest.raises(InvalidDim):
+        with pytest.raises(ValueError, match="N=4, d=0"):
             sample_weights(RELU_GAUSS, 0, 4, seed=0)
 
     def test_deterministic(self):
@@ -74,7 +75,7 @@ class TestFeaturize:
         np.testing.assert_array_equal(featurize(spec, X, W), X @ W.T)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ValueError, match="are not compatible"):
             featurize(RELU_GAUSS, np.zeros((2, 3)), np.zeros((4, 2)))
 
     def test_noise_variance_chi2(self):
@@ -142,20 +143,18 @@ class TestSampleData:
             RidgeTarget(w_star=np.array([1.0, 1.0]))
 
     def test_instance_validation(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ValueError, match="X has 3 rows but y has 4 entries"):
             Instance(X=np.zeros((3, 2)), y=np.zeros(4))
         with pytest.raises(ValueError):
             Instance(X=np.full((2, 2), np.nan), y=np.zeros(2))
 
     def test_custom_covariate_sampler(self):
         # Bounded (hence sub-Gaussian) design via a user-supplied sampler.
-        from mci.features import sample_covariates
-
         ds = DataSpec(d=3, covariate_dist=lambda rng, n, d: rng.uniform(-1, 1, (n, d)))
         X = sample_covariates(ds, 50, seed=1)
         assert X.shape == (50, 3) and np.all(np.abs(X) <= 1)
         bad = DataSpec(d=3, covariate_dist=lambda rng, n, d: np.zeros((n, d + 1)))
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ValueError, match="custom sampler returned shape"):
             sample_covariates(bad, 10, seed=1)
 
 
@@ -189,9 +188,9 @@ class TestKernelMatrix:
 
     def test_incompatible_method(self):
         spec = FeatureSpec(activation="identity")
-        with pytest.raises(IncompatibleMethod):
+        with pytest.raises(ValueError, match="needs relu \\+ gaussian weights"):
             kernel_matrix(spec, np.eye(3), method="arc_cosine")
-        with pytest.raises(IncompatibleMethod):
+        with pytest.raises(ValueError, match="needs the identity activation"):
             kernel_matrix(RELU_GAUSS, np.eye(3), method="latent_linear")
 
     def test_symmetric_psd_after_floor(self):
@@ -211,6 +210,18 @@ class TestKernelMatrix:
         cross = oracle.cross(inst.X)
         assert cross.shape == (8, 8)
         assert np.max(np.abs(cross - oracle.K)) <= 0.01
+
+    def test_monte_carlo_cross_kernel_in_row_chunks(self, monkeypatch):
+        # The test rows are filled a chunk at a time against one weight draw;
+        # 3 rows per chunk (the last one partial) match a single block.
+        ds = DataSpec(d=4, target=RidgeTarget.random(4, 0))
+        inst = sample_data(ds, 8, seed=9)
+        oracle = kernel_matrix(RELU_GAUSS, inst.X, method="monte_carlo", mc_samples=5_000, seed=3)
+        X_test = sample_covariates(ds, 10, seed=4)
+        whole = oracle.mean_cross(X_test)
+        monkeypatch.setattr(features, "CHUNK_ENTRIES", 3 * 5_000)
+        chunked = oracle.mean_cross(X_test)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
 
     def test_cross_kernel_noise_on_identical_rows_only(self):
         spec = FeatureSpec(activation="identity", noise_gamma=1.0)
@@ -264,5 +275,5 @@ class TestWhiten:
     def test_dim_mismatch(self):
         spec = FeatureSpec(activation="identity", noise_gamma=1.0)
         oracle = kernel_matrix(spec, np.zeros((3, 5)), method="latent_linear")
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ValueError, match="oracle expects 3"):
             whiten(oracle, np.zeros((4, 2)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mci.solver as solver
-from mci.errors import DimMismatch, Infeasible, NotConvergedWarning, UndefinedForL1
+from mci.errors import Infeasible, NotConvergedWarning
 from mci.features import DataSpec, FeatureSpec, RidgeTarget, featurize, sample_data, sample_weights
 from mci.penalty import PenaltySpec, link_s
 from mci.solver import (
@@ -55,11 +55,11 @@ class TestDualObjective:
         assert dual_objective(Phi, y, P2, np.array([0.4])) == pytest.approx(0.4)
 
     def test_l1_rejected(self):
-        with pytest.raises(UndefinedForL1):
+        with pytest.raises(ValueError, match="undefined for p=1"):
             dual_objective(np.eye(2), np.ones(2), PenaltySpec.pnorm(1.0), np.ones(2))
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ValueError, match=r"y has shape \(3,\), expected \(2,\)"):
             dual_objective(np.eye(2), np.ones(3), P2, np.ones(2))
 
 
@@ -437,6 +437,24 @@ class TestFit:
             res = fit(Phi, y, PenaltySpec.pnorm(1.2), SolverOptions(max_iters=1))
         assert res.status == STATUS_MAX_ITERS and res.iters == 1
         assert res.a is None and res.residual == res.dual.grad_norm > 0
+
+    @pytest.mark.parametrize("seed, N", itertools.product([0, 1, 2], [64, 256, 512]))
+    def test_custom_penalty_matches_its_pnorm(self, seed, N):
+        # The p = 1.5 formulas (Q = 3) supplied as handles solve bitwise like
+        # pnorm(1.5); N = 64 < n = 150 is certified infeasible by both.
+        custom = PenaltySpec.custom(
+            rho=lambda x: np.abs(x) ** 1.5 / 1.5,
+            conjugate=lambda x: np.abs(x) ** 3.0 / 3.0,
+            link=lambda x: np.sign(x) * np.abs(x) ** 2.0,
+            link_prime=lambda x: 2.0 * np.abs(x) ** 1.0,
+            exponents=(3.0, 3.0, 3.0, 3.0),
+        )
+        Phi, y = _random_problem(150, N, 30, seed)
+        got, want = fit(Phi, y, custom), fit(Phi, y, PenaltySpec.pnorm(1.5))
+        assert (got.status, got.iters) == (want.status, want.iters)
+        assert got.status == (STATUS_INFEASIBLE if N < 150 else STATUS_CONVERGED)
+        np.testing.assert_array_equal(got.a, want.a)
+        np.testing.assert_array_equal(got.objective_primal, want.objective_primal)
 
 
 class TestNewtonDirection:
