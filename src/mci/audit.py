@@ -472,7 +472,7 @@ def theorem_rate_budget(
     Returns M(delta, tau, eta) * (sqrt(n log N / N) v (n log N)^{Q/2} / N)
     where M = tau^{Q+2+(2-q'+delta)_+} / eta^{q v 3} * (tau^{Q-2} v eta^{Q'-2}).
     """
-    if pen.exponents is None or not all(math.isfinite(e) for e in pen.exponents):
+    if not all(math.isfinite(e) for e in pen.exponents):
         raise ValueError("rate budget needs finite growth exponents (p > 1)")
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")

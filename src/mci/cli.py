@@ -10,6 +10,7 @@ written), 1 on a fatal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -82,13 +83,15 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(raw)
     if args.overrides:
         cfg = cfg.with_overrides(args.overrides)
+    # replace() reruns the config's checks on the flag values.
+    flags = {}
     if args.seed is not None:
-        cfg.seeds = [args.seed + i for i in range(len(cfg.seeds))]
+        flags["seeds"] = [args.seed + i for i in range(len(cfg.seeds))]
     if args.threads is not None:
-        cfg.threads = args.threads
+        flags["threads"] = args.threads
     if args.out is not None:
-        cfg.output_path = str(args.out)
-    return cfg
+        flags["output_path"] = str(args.out)
+    return dataclasses.replace(cfg, **flags)
 
 
 def _cmd_solve(args) -> int:

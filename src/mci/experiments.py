@@ -116,6 +116,9 @@ class ExperimentConfig:
                 raise ValueError(f"config field {f.name} must be {f.type}, not {value!r}")
         if not self.p_list or not self.N_list or not self.seeds:
             raise ValueError("p_list, N_list, and seeds must be nonempty")
+        for name, seeds in (("seeds", self.seeds), ("target_seed", [self.target_seed])):
+            if any(seed < 0 for seed in seeds):
+                raise ValueError(f"config field {name} must be non-negative, not {min(seeds)}")
         if list(self.N_list) != sorted(self.N_list):
             raise ValueError("N_list must be sorted ascending")
         if self.M_test < 100:

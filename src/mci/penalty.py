@@ -2,20 +2,24 @@
 
 The solver never touches rho directly: the dual objective needs the conjugate
 rho*, its derivative s = (rho*)' (the "link", which maps dual correlations to
-primal coefficients), and s' for the Hessian.  For the p-norm family
-rho(x) = |x|^p / p with p > 1 everything is closed form with conjugate
-exponent Q = p / (p - 1):
+primal coefficients), and s' for the Hessian.  A spec carries these maps as
+handles, and `rho`, `conjugate`, `link_s` and `link_s_prime` call them, so a
+p-norm and a custom penalty go through the same code.  For the p-norm family
+rho(x) = |x|^p / p with p > 1, :meth:`PenaltySpec.pnorm` binds the closed
+forms below, with conjugate exponent Q = p / (p - 1):
 
     rho*(x) = |x|^Q / Q,   s(x) = sign(x) |x|^(Q-1),   s'(x) = (Q-1) |x|^(Q-2).
 
 p = 1 is a sentinel value: the conjugate is an indicator and the link does not
-exist, so only the dedicated linear-programming path may consume it.
+exist, so its spec has no conjugate or link handles and only the dedicated
+linear-programming path may consume it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,31 +36,57 @@ GROWTH_SPREAD_LIMIT = 1e6
 ScalarFn = Callable[[np.ndarray], np.ndarray]
 
 
+# The p-norm closed forms; `pnorm` binds them to p or Q with `partial`, not a
+# closure, so a spec pickles.
+def _abs_power(r: float, x: np.ndarray) -> np.ndarray:
+    """|x|^r / r: the p-norm's rho at r = p and its conjugate rho* at r = Q."""
+    return np.abs(x) ** r / r
+
+
+def _pnorm_link(q: float, x: np.ndarray) -> np.ndarray:
+    return np.sign(x) * np.abs(x) ** (q - 1.0)
+
+
+def _pnorm_link_prime(q: float, x: np.ndarray) -> np.ndarray:
+    a = np.abs(x)
+    if q < 2.0:
+        a = np.maximum(a, EPS_LINK_PRIME)
+    return (q - 1.0) * a ** (q - 2.0)
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """A penalty rho together with its conjugate, link, and growth exponents.
 
-    Use :meth:`pnorm` or :meth:`custom` to construct.  `exponents` stores
-    (Q1, Q2, q1, q2); for p-norms all four equal p / (p - 1).
+    Use :meth:`pnorm` or :meth:`custom` to construct.  `p` is None for a custom
+    penalty.  `exponents` stores (Q1, Q2, q1, q2); for p-norms all four equal
+    p / (p - 1).  Specs compare by `p` and `exponents` alone.
     """
 
-    p: float | None = None
-    exponents: tuple[float, float, float, float] | None = None
-    rho_fn: ScalarFn | None = field(default=None, repr=False)
-    conjugate_fn: ScalarFn | None = field(default=None, repr=False)
-    link_fn: ScalarFn | None = field(default=None, repr=False)
-    link_prime_fn: ScalarFn | None = field(default=None, repr=False)
+    p: float | None
+    exponents: tuple[float, float, float, float]
+    rho_fn: ScalarFn | None = field(default=None, repr=False, compare=False)
+    conjugate_fn: ScalarFn | None = field(default=None, repr=False, compare=False)
+    link_fn: ScalarFn | None = field(default=None, repr=False, compare=False)
+    link_prime_fn: ScalarFn | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def pnorm(cls, p: float) -> "PenaltySpec":
         if not (1.0 <= p < math.inf):
             raise ValueError(f"p-norm penalty requires 1 <= p < inf, got {p}")
+        p = float(p)
+        rho_fn = partial(_abs_power, p)
         if p == 1.0:
-            expo = (math.inf, math.inf, math.inf, math.inf)
-        else:
-            q = p / (p - 1.0)
-            expo = (q, q, q, q)
-        return cls(p=float(p), exponents=expo)
+            return cls(p=p, exponents=(math.inf,) * 4, rho_fn=rho_fn)
+        q = p / (p - 1.0)
+        return cls(
+            p=p,
+            exponents=(q, q, q, q),
+            rho_fn=rho_fn,
+            conjugate_fn=partial(_abs_power, q),
+            link_fn=partial(_pnorm_link, q),
+            link_prime_fn=partial(_pnorm_link_prime, q),
+        )
 
     @classmethod
     def custom(
@@ -75,6 +105,8 @@ class PenaltySpec:
         """
         if len(exponents) != 4 or not all(np.isfinite(e) and e > 1 for e in exponents):
             raise ValueError(f"exponents must be four finite values > 1, got {exponents}")
+        if not all(callable(fn) for fn in (conjugate, link, link_prime)):
+            raise ValueError("custom penalty needs callable conjugate, link and link_prime")
         return cls(
             p=None,
             exponents=tuple(float(e) for e in exponents),
@@ -90,78 +122,41 @@ class PenaltySpec:
 
     @property
     def conjugate_exponent(self) -> float:
-        """Q = p/(p-1) for p-norms; max of declared Q1, Q2 otherwise."""
-        if self.p is not None:
-            if self.is_l1:
-                return math.inf
-            return self.p / (self.p - 1.0)
+        """Q = max of Q1, Q2: p/(p-1) for p-norms, inf for p = 1."""
         return max(self.exponents[0], self.exponents[1])
 
-    def _check_usable(self) -> None:
-        if self.is_l1:
+
+def _call(spec: PenaltySpec, fn: ScalarFn | None, x) -> float | np.ndarray:
+    """fn(x) as float64: a float for a scalar x, an array otherwise."""
+    if fn is None:
+        if spec.is_l1:
             raise ValueError("conjugate/link are undefined for p=1; use solve_l1")
-
-
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
+        raise ValueError("custom penalty was built without a rho handle")
     arr = np.asarray(x, dtype=np.float64)
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+    out = np.asarray(fn(arr), dtype=np.float64)
+    return float(out) if arr.ndim == 0 else out
 
 
 def rho(spec: PenaltySpec, x) -> float | np.ndarray:
     """Penalty value rho(x); |x|^p / p for the p-norm family."""
-    arr, scalar = _as_float_array(x)
-    if spec.p is not None:
-        out = np.abs(arr) ** spec.p / spec.p
-    elif spec.rho_fn is not None:
-        out = np.asarray(spec.rho_fn(arr), dtype=np.float64)
-    else:
-        raise ValueError("custom penalty was built without a rho handle")
-    return _maybe_scalar(out, scalar)
+    return _call(spec, spec.rho_fn, x)
 
 
 def conjugate(spec: PenaltySpec, x) -> float | np.ndarray:
     """Convex conjugate rho*(x) = sup_y { xy - rho(y) }."""
-    spec._check_usable()
-    arr, scalar = _as_float_array(x)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(x)):
         raise ValueError("conjugate requires finite input")
-    if spec.p is not None:
-        q = spec.p / (spec.p - 1.0)
-        out = np.abs(arr) ** q / q
-    else:
-        out = np.asarray(spec.conjugate_fn(arr), dtype=np.float64)
-    return _maybe_scalar(out, scalar)
+    return _call(spec, spec.conjugate_fn, x)
 
 
 def link_s(spec: PenaltySpec, x) -> float | np.ndarray:
     """Link s(x) = (rho*)'(x) = (rho')^{-1}(x); odd, nondecreasing, s(0) = 0."""
-    spec._check_usable()
-    arr, scalar = _as_float_array(x)
-    if spec.p is not None:
-        q = spec.p / (spec.p - 1.0)
-        out = np.sign(arr) * np.abs(arr) ** (q - 1.0)
-    else:
-        out = np.asarray(spec.link_fn(arr), dtype=np.float64)
-    return _maybe_scalar(out, scalar)
+    return _call(spec, spec.link_fn, x)
 
 
 def link_s_prime(spec: PenaltySpec, x) -> float | np.ndarray:
     """Derivative s'(x); clipped near 0 when Q < 2 to keep the Hessian finite."""
-    spec._check_usable()
-    arr, scalar = _as_float_array(x)
-    if spec.p is not None:
-        q = spec.p / (spec.p - 1.0)
-        a = np.abs(arr)
-        if q < 2.0:
-            a = np.maximum(a, EPS_LINK_PRIME)
-        out = (q - 1.0) * a ** (q - 2.0)
-    else:
-        out = np.asarray(spec.link_prime_fn(arr), dtype=np.float64)
-    return _maybe_scalar(out, scalar)
+    return _call(spec, spec.link_prime_fn, x)
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ def validate_growth(
     with r = |x1/x2| are inverted for the per-pair admissible constants; the
     report returns the binding c (min) and C (max) over the grid.
     """
-    if spec.exponents is None or not all(np.isfinite(e) for e in spec.exponents):
+    if not all(np.isfinite(e) for e in spec.exponents):
         raise ValueError("validate_growth requires finite declared exponents")
     pairs = [(float(a), float(b)) for a, b in grid]
     if not pairs:

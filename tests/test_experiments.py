@@ -67,6 +67,8 @@ class TestConfig:
             ({"p_list": [2.0, True]}, r"field p_list must be list\[float\]"),
             ({"gamma": "x"}, "field gamma must be float"),
             ({"threads": "2"}, "field threads must be int"),
+            ({"seeds": [0, -1]}, "field seeds must be non-negative, not -1"),
+            ({"target_seed": -2}, "field target_seed must be non-negative, not -2"),
         ):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig.from_dict(raw)

@@ -1,11 +1,14 @@
 """Penalty family: conjugate, link, growth-envelope checks."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mci.penalty import (
+    EPS_LINK_PRIME,
     PenaltySpec,
     conjugate,
     link_s,
@@ -67,6 +70,42 @@ def test_pnorm_exponents():
         spec = PenaltySpec.pnorm(p)
         q = p / (p - 1.0)
         assert spec.exponents == (q, q, q, q)
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_pnorm_maps_match_closed_forms(p):
+    # The module docstring's formulas, bitwise, including 0, the s' clip and
+    # large arguments.
+    pen = PenaltySpec.pnorm(p)
+    x = np.array([0.0, 1e-12, -1e-12, EPS_LINK_PRIME, 0.3, -2.5, 1e6, -1e6])
+    q = p / (p - 1.0)
+    a = np.maximum(np.abs(x), EPS_LINK_PRIME) if q < 2.0 else np.abs(x)
+    assert np.array_equal(conjugate(pen, x), np.abs(x) ** q / q)
+    assert np.array_equal(link_s(pen, x), np.sign(x) * np.abs(x) ** (q - 1.0))
+    assert np.array_equal(link_s_prime(pen, x), (q - 1.0) * a ** (q - 2.0))
+    assert np.array_equal(rho(pen, x), np.abs(x) ** p / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_pnorm_pickles(p):
+    pen = PenaltySpec.pnorm(p)
+    again = pickle.loads(pickle.dumps(pen))
+    assert again == pen and hash(again) == hash(pen)
+    assert PenaltySpec.pnorm(p) == pen and hash(PenaltySpec.pnorm(p)) == hash(pen)
+    x = np.linspace(-3.0, 3.0, 13)
+    maps = (rho,) if pen.is_l1 else (rho, conjugate, link_s, link_s_prime)
+    for fn in maps:
+        assert np.array_equal(fn(again, x), fn(pen, x))
+
+
+def test_custom_without_rho_handle():
+    # rho is the one optional handle; the solver's three maps are required.
+    handles = dict(conjugate=lambda x: x**2 / 2.0, link=lambda x: x, link_prime=np.ones_like)
+    pen = PenaltySpec.custom(**handles, exponents=(2.0, 2.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match="without a rho handle"):
+        rho(pen, 1.0)
+    with pytest.raises(ValueError, match="needs callable conjugate, link and link_prime"):
+        PenaltySpec.custom(**{**handles, "link": None}, exponents=(2.0, 2.0, 2.0, 2.0))
 
 
 @pytest.mark.parametrize("p", P_VALUES)
