@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import NotConverged, NumericalFailure
 from .features import (
-    CHUNK_ENTRIES,
     IDENTITY,
     RELU,
     TRUNCATED_RELU,
@@ -35,6 +34,7 @@ from .features import (
     KernelOracle,
     _draw_weights,
     apply_activation,
+    chunk_rows,
     featurize,
     mean_features,
     sample_covariates,
@@ -418,7 +418,7 @@ def event_audit(
     sq_diff = np.zeros(G)
     sq_ref_dev = np.zeros(G)
     sq_lhs = 0.0
-    rows = max(1, CHUNK_ENTRIES // max(reference.W.shape[0], 1))
+    rows = chunk_rows(reference.W.shape[0])
     for lo in range(0, M, rows):
         Xb = X_mc[lo : lo + rows]
         pf = mean_features(spec, Xb, finite.W) @ S_fin

@@ -119,6 +119,8 @@ class ExperimentConfig:
         for name, seeds in (("seeds", self.seeds), ("target_seed", [self.target_seed])):
             if any(seed < 0 for seed in seeds):
                 raise ValueError(f"config field {name} must be non-negative, not {min(seeds)}")
+        if self.threads < 1:
+            raise ValueError(f"config field threads must be >= 1, not {self.threads}")
         if list(self.N_list) != sorted(self.N_list):
             raise ValueError("N_list must be sorted ascending")
         if self.M_test < 100:
@@ -286,11 +288,12 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
 
     Per seed the test batch is drawn once, the weights are drawn once at the
     largest width and each width takes a prefix (the weight draw is
-    prefix-nested), the reference of each p (scaling and latent only) is
-    predicted once, and each finite-width model is predicted once: the same
-    value vector feeds both `test_error` and `l2_distance`.  `wall_ms` is the
-    row's fit time.  Every fit ends in a status and the sweep continues; only
-    rows whose fit converged are predicted and scored, the others carry nan
+    prefix-nested), and the reference of each p (scaling and latent only) is
+    predicted once.  The seed fits all of its rows first; one pass over the
+    widest draw then predicts every converged model, and each model's value
+    column feeds both `test_error` and `l2_distance`.  `wall_ms` is the row's
+    fit time.  Every fit ends in a status and the sweep continues; only rows
+    whose fit converged are predicted and scored, the others carry nan
     `test_error` and `l2_to_ref`.
     """
     spec, ds = cfg.feature_spec(), cfg.data_spec()
@@ -305,27 +308,35 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
             for p in cfg.p_list:
                 ref, ref_noise[p] = _reference_predictor(cfg, spec, inst, p, seed)
                 ref_values[p] = ref.predict(X_test)
-        W_max = sample_weights(spec, cfg.d, cfg.N_list[-1], seed)
-        rows, residuals = [], {}
+        N_max = cfg.N_list[-1]
+        W_max = sample_weights(spec, cfg.d, N_max, seed)
+        fits, residuals = [], {}
         for N in cfg.N_list:
-            W = W_max[:N]
-            Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
+            Phi, Z = featurize(spec, inst.X, W_max[:N], seed=seed, return_noise=True)
             for p in cfg.p_list:
                 t0 = time.perf_counter()
                 res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver)
-                wall = (time.perf_counter() - t0) * 1e3
-                ok = res.status == STATUS_CONVERGED
-                te = dist = math.nan
-                if ok:
-                    values = Predictor(W=W, a=res.a, spec=spec).predict(X_test)
-                    te = test_error(values, ds, cfg.M_test, test_seed, X_test, y_test)
-                    if ref_values:
-                        dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed,
-                                              X_test)
-                rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, res.iters, ok, wall))
-                if experiment == LATENT and ok and p > 1:
+                fits.append((p, N, res, (time.perf_counter() - t0) * 1e3))
+                if experiment == LATENT and res.status == STATUS_CONVERGED and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
                     residuals[(p, N)] = float(np.linalg.norm(Z @ res.a / N - ref_noise[p]))
+        # A width-N model is the column (N_max / N) a of a model on W_max,
+        # zero-padded below N, so one pass predicts every converged model.
+        converged = [(N, res.a) for _, N, res, _ in fits if res.status == STATUS_CONVERGED]
+        A = np.zeros((N_max, len(converged)))
+        for c, (N, a) in enumerate(converged):
+            A[:N, c] = (N_max / N) * a
+        columns = iter(Predictor(W=W_max, a=A, spec=spec).predict(X_test).T if converged else ())
+        rows = []
+        for p, N, res, wall in fits:
+            ok = res.status == STATUS_CONVERGED
+            te = dist = math.nan
+            if ok:
+                values = next(columns)
+                te = test_error(values, ds, cfg.M_test, test_seed, X_test, y_test)
+                if ref_values:
+                    dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed, X_test)
+            rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, res.iters, ok, wall))
         return rows, float(np.linalg.svd(inst.X, compute_uv=False)[-1]), residuals
 
     results = _map_seeds(per_seed, cfg.seeds, cfg.threads)

@@ -41,8 +41,12 @@ NEG_EIG_TOL = 1e-8
 DEFAULT_MC_SAMPLES = 100_000
 
 # Mean-feature blocks over many rows (test batches, Monte Carlo cross kernels)
-# are built a row chunk at a time, each chunk near this many entries.
-CHUNK_ENTRIES = 2**24
+# are built a row chunk at a time, each chunk near this many entries (8 MB;
+# 2^24-entry chunks first-touched fresh 128 MB arrays each), but never fewer
+# than MIN_CHUNK_ROWS rows: a wide draw (the 100,000-weight cross kernel)
+# would otherwise re-stream its right-hand side for every few rows.
+CHUNK_ENTRIES = 2**20
+MIN_CHUNK_ROWS = 128
 
 Activation = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -57,6 +61,16 @@ def apply_activation(activation: Activation, u: np.ndarray) -> np.ndarray:
     if activation == IDENTITY:
         return np.asarray(u, dtype=np.float64)
     raise ValueError(f"unknown activation {activation!r}")
+
+
+def _activate_product(activation: Activation, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sigma(X W^T); a built-in activation overwrites the fresh product in place."""
+    U = X @ W.T
+    if activation == RELU:
+        return np.maximum(U, 0.0, out=U)
+    if activation == TRUNCATED_RELU:
+        return np.clip(U, 0.0, 1.0, out=U)
+    return apply_activation(activation, U)
 
 
 @dataclass(frozen=True)
@@ -225,7 +239,7 @@ def featurize(
     W = np.asarray(W, dtype=np.float64)
     if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
         raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
-    Phi = apply_activation(spec.activation, X @ W.T)
+    Phi = _activate_product(spec.activation, X, W)
     Z = None
     if spec.noise_gamma > 0:
         Z = _noise_matrix(spec.noise_gamma, X.shape[0], W.shape[0], seed)
@@ -248,13 +262,18 @@ def mean_features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray
     W = np.asarray(W, dtype=np.float64)
     if X.shape[1] != W.shape[1]:
         raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
-    return apply_activation(spec.activation, X @ W.T)
+    return _activate_product(spec.activation, X, W)
+
+
+def chunk_rows(columns: int) -> int:
+    """Rows per chunk of a mean-feature block with `columns` columns."""
+    return max(MIN_CHUNK_ROWS, CHUNK_ENTRIES // max(columns, 1))
 
 
 def mean_features_dot(spec: FeatureSpec, X: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sigma(X W^T) @ B, built a row chunk of about CHUNK_ENTRIES mean features
-    at a time, so the (rows of X) x (rows of W) block is never held whole."""
-    rows = max(1, CHUNK_ENTRIES // W.shape[0])
+    """sigma(X W^T) @ B, built a row chunk (see `chunk_rows`) at a time, so the
+    (rows of X) x (rows of W) block is never held whole."""
+    rows = chunk_rows(W.shape[0])
     out = np.empty((X.shape[0],) + B.shape[1:])
     for lo in range(0, X.shape[0], rows):
         out[lo : lo + rows] = mean_features(spec, X[lo : lo + rows], W) @ B

@@ -25,17 +25,25 @@ from .features import (
 
 @dataclass(frozen=True)
 class Predictor:
-    """Finite-width model f(x) = (1/N) sum_j a_j sigma(<x, w_j>)."""
+    """Finite-width model f(x) = (1/N) sum_j a_j sigma(<x, w_j>).
+
+    `a` is a coefficient vector (N,), or an N x k matrix whose columns are k
+    models over the same N weights: one pass over sigma(X W^T) predicts them
+    all.  A model of width N' < N on the first N' weights is the column
+    (N / N') a, zero-padded below N'.
+    """
 
     W: np.ndarray
     a: np.ndarray
     spec: FeatureSpec
 
     def __post_init__(self):
-        if self.W.ndim != 2 or self.a.shape != (self.W.shape[0],):
+        if self.W.ndim != 2 or self.a.ndim not in (1, 2) or self.a.shape[0] != self.W.shape[0]:
             raise ValueError(f"W {self.W.shape} and a {self.a.shape} are inconsistent")
 
     def predict(self, X_test: np.ndarray) -> np.ndarray:
+        """Values on the M test rows: shape (M,) for a vector `a`, M x k for
+        an N x k coefficient matrix."""
         X_test = np.asarray(X_test, dtype=np.float64)
         if X_test.ndim != 2 or X_test.shape[1] != self.W.shape[1]:
             raise ValueError(f"test rows {X_test.shape} incompatible with W {self.W.shape}")
@@ -58,9 +66,11 @@ class KernelPredictor:
 def predict(pred, X_test: np.ndarray) -> np.ndarray:
     """Evaluate a predictor (or plain callable) on test rows.
 
-    `pred` may also be a 1-D array of values already computed on `X_test`
-    (one per row); it is returned as is, so callers that evaluate one model
-    against several quantities on the same test batch predict it once.
+    A :class:`Predictor` with an N x k coefficient matrix returns M x k
+    values, one column per model.  `pred` may also be a 1-D array of values
+    already computed on `X_test` (one per row, such as one column of that
+    matrix); it is returned as is, so callers that evaluate one model against
+    several quantities on the same test batch predict it once.
     """
     X_test = np.asarray(X_test, dtype=np.float64)
     if isinstance(pred, np.ndarray):

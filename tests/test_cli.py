@@ -134,7 +134,7 @@ def test_fatal_error_exit_code(tmp_path, capsys):
     "overrides",
     [["solver.foo=1"], ["solver=3"], ["solver=3", "solver.max_iters=1"], ["solver.max_iters=1.5"],
      ["n=abc"], ["M_test=abc"], ["N_list=64"], ["seeds=3"], ['gamma="x"'], ['threads="2"'],
-     ["seeds=[-1]"], ["target_seed=-2"]],
+     ["seeds=[-1]"], ["target_seed=-2"], ["threads=-3"]],
 )
 def test_bad_solver_block_exit_code(capsys, overrides):
     sets = [arg for item in overrides for arg in ("--set", item)]
@@ -148,6 +148,13 @@ def test_negative_seed_flag_exit_code(capsys):
     code = main(["solve", "--set", "n=12", "--set", "d=5", "--N", "32", "--seed", "-1"])
     assert code == 1
     assert "field seeds must be non-negative, not -1" in capsys.readouterr().err
+
+
+def test_nonpositive_threads_flag_exit_code(capsys):
+    # --threads is applied after the config is built; it must pass the same checks.
+    code = main(["solve", "--set", "n=12", "--set", "d=5", "--N", "32", "--threads", "-3"])
+    assert code == 1
+    assert "field threads must be >= 1, not -3" in capsys.readouterr().err
 
 
 def test_scaling_cli(tmp_path, capsys):

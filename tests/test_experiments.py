@@ -69,6 +69,7 @@ class TestConfig:
             ({"threads": "2"}, "field threads must be int"),
             ({"seeds": [0, -1]}, "field seeds must be non-negative, not -1"),
             ({"target_seed": -2}, "field target_seed must be non-negative, not -2"),
+            ({"threads": 0}, "field threads must be >= 1, not 0"),
         ):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig.from_dict(raw)
@@ -346,6 +347,13 @@ ENGINE_CASES = {
                                 M_test=1_000, N_ref=512)),
 }
 
+STACKED_CASES = {
+    **ENGINE_CASES,
+    # Widths that are not powers of two, so N_max / N is inexact; N = 10 < n.
+    "fig1_odd_widths": (run_fig1, dict(experiment="fig1", d=5, n=12, p_list=[1.0, 1.5, 2.0],
+                                       N_list=[10, 24, 40, 100], seeds=[0, 1], M_test=1_000)),
+}
+
 
 class TestSweepEngine:
     @pytest.mark.parametrize("experiment", sorted(ENGINE_CASES))
@@ -383,7 +391,7 @@ class TestSweepEngine:
         finite_predict, kernel_predict = Predictor.predict, KernelPredictor.predict
 
         def count_finite(self, X_test):
-            calls["finite", self.W.shape[0], X_test.shape[0]] += 1
+            calls["finite", self.W.shape[0], X_test.shape[0], self.a.shape[1:]] += 1
             return finite_predict(self, X_test)
 
         def count_kernel(self, X_test):
@@ -397,10 +405,50 @@ class TestSweepEngine:
         res = run_scaling(cfg)
         assert len(res.rows) == 12 and all(r.converged for r in res.rows)
         # The reference once per (seed, p): a 512-wide model for p = 1.5, the
-        # kernel interpolant for p = 2; each finite model once per row.
-        assert calls == {("finite", 512, 1_000): 2, ("kernel", 1_000): 2,
-                         ("finite", 32, 1_000): 4, ("finite", 64, 1_000): 4,
-                         ("finite", 128, 1_000): 4}
+        # kernel interpolant for p = 2; the six finite models of a seed in one
+        # pass over its widest draw (N = 128), one coefficient column each.
+        assert calls == {("finite", 512, 1_000, ()): 2, ("kernel", 1_000): 2,
+                         ("finite", 128, 1_000, (6,)): 2}
+
+    @pytest.mark.parametrize("experiment", sorted(STACKED_CASES))
+    def test_stacked_pass_matches_per_row_predict(self, experiment, monkeypatch):
+        # Each converged row's value column from the seed's one pass over its
+        # widest draw equals a fresh Predictor on the row's own prefix W_max[:N].
+        from mci.predict import Predictor
+        from mci.solver import STATUS_CONVERGED
+
+        runner, raw = STACKED_CASES[experiment]
+        cfg = ExperimentConfig.from_dict(raw)
+        draws, fits, scored = [], [], []
+        sample_weights, fit, test_error = (experiments.sample_weights, experiments.fit,
+                                           experiments.test_error)
+
+        def record_draw(spec, d, N, seed):
+            W = sample_weights(spec, d, N, seed)
+            if N == cfg.N_list[-1]:
+                draws.append(W)
+            return W
+
+        def record_fit(Phi, *args):
+            res = fit(Phi, *args)
+            if Phi.shape[1] in cfg.N_list and res.status == STATUS_CONVERGED:
+                fits.append((draws[-1], Phi.shape[1], res.a))
+            return res
+
+        def record_score(values, ds, M, seed, X_test, y_test):
+            scored.append((values, X_test))
+            return test_error(values, ds, M, seed, X_test, y_test)
+
+        monkeypatch.setattr(experiments, "sample_weights", record_draw)
+        monkeypatch.setattr(experiments, "fit", record_fit)
+        monkeypatch.setattr(experiments, "test_error", record_score)
+        res = runner(cfg)
+        assert len(draws) == len(cfg.seeds)
+        assert len(fits) == len(scored) == sum(r.converged for r in res.rows) > 0
+        spec = cfg.feature_spec()
+        for (W_max, N, a), (values, X_test) in zip(fits, scored):
+            slow = Predictor(W=W_max[:N], a=a, spec=spec).predict(X_test)
+            assert np.linalg.norm(values - slow) <= 1e-12 * np.linalg.norm(slow)
 
     def test_test_batch_drawn_and_scored_once_per_seed(self, monkeypatch):
         # One covariate draw and one target evaluation of M_test rows per seed,

@@ -10,6 +10,7 @@ from mci.features import (
     FeatureSpec,
     Instance,
     RidgeTarget,
+    apply_activation,
     featurize,
     kernel_matrix,
     mean_feature,
@@ -77,6 +78,19 @@ class TestFeaturize:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="are not compatible"):
             featurize(RELU_GAUSS, np.zeros((2, 3)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("activation", ["relu", "truncated_relu", "identity", np.tanh])
+    def test_in_place_activation_is_apply_activation(self, activation):
+        # The activation overwrites the fresh product X W^T, never X or W.
+        spec = FeatureSpec(activation=activation)
+        rng = np.random.default_rng(8)
+        X, W = 2.0 * rng.standard_normal((40, 6)), rng.standard_normal((30, 6))
+        X0, W0 = X.copy(), W.copy()
+        expected = apply_activation(activation, X @ W.T)
+        np.testing.assert_array_equal(mean_features(spec, X, W), expected)
+        np.testing.assert_array_equal(featurize(spec, X, W), expected)
+        np.testing.assert_array_equal(X, X0)
+        np.testing.assert_array_equal(W, W0)
 
     def test_noise_variance_chi2(self):
         # Entries of Phi - mean are i.i.d. N(0, gamma^2): chi^2 test at 99%.
@@ -212,15 +226,25 @@ class TestKernelMatrix:
         assert np.max(np.abs(cross - oracle.K)) <= 0.01
 
     def test_monte_carlo_cross_kernel_in_row_chunks(self, monkeypatch):
-        # The test rows are filled a chunk at a time against one weight draw;
-        # 3 rows per chunk (the last one partial) match a single block.
+        # The test rows are filled a chunk at a time against one weight draw.
+        # A 3-row chunk size falls under the row floor, so the 300 rows run as
+        # 128 + 128 + 44 (the last one partial) and match a single block.
         ds = DataSpec(d=4, target=RidgeTarget.random(4, 0))
         inst = sample_data(ds, 8, seed=9)
         oracle = kernel_matrix(RELU_GAUSS, inst.X, method="monte_carlo", mc_samples=5_000, seed=3)
-        X_test = sample_covariates(ds, 10, seed=4)
+        X_test = sample_covariates(ds, 300, seed=4)
+        monkeypatch.setattr(features, "CHUNK_ENTRIES", 300 * 5_000)
         whole = oracle.mean_cross(X_test)
         monkeypatch.setattr(features, "CHUNK_ENTRIES", 3 * 5_000)
+        rows, mean_features_ = [], features.mean_features
+
+        def record(spec, X, W):
+            rows.append(X.shape[0])
+            return mean_features_(spec, X, W)
+
+        monkeypatch.setattr(features, "mean_features", record)
         chunked = oracle.mean_cross(X_test)
+        assert rows == [8, 128, 128, 44]  # the training rows, then the test chunks
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
 
     def test_cross_kernel_noise_on_identical_rows_only(self):

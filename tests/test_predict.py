@@ -48,6 +48,28 @@ class TestPredictor:
         p12 = Predictor(W=W, a=a1 + a2, spec=SPEC).predict(X)
         np.testing.assert_allclose(p12, p1 + p2, atol=1e-12)
 
+    def test_coefficient_matrix_predicts_each_column(self, monkeypatch):
+        # 16-row chunks, so the 50 test rows span four of them.
+        import mci.features as features
+
+        monkeypatch.setattr(features, "CHUNK_ENTRIES", 16 * 30)
+        monkeypatch.setattr(features, "MIN_CHUNK_ROWS", 16)
+        rng = np.random.default_rng(3)
+        W = sample_weights(SPEC, 5, 30, seed=3)
+        A = rng.standard_normal((30, 4))
+        X = rng.standard_normal((50, 5))
+        values = Predictor(W=W, a=A, spec=SPEC).predict(X)
+        assert values.shape == (50, 4)
+        for k in range(4):
+            column = Predictor(W=W, a=A[:, k], spec=SPEC).predict(X)
+            np.testing.assert_allclose(values[:, k], column, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(), (29,), (31, 2), (30, 2, 1)])
+    def test_coefficients_of_wrong_shape_rejected(self, shape):
+        W = sample_weights(SPEC, 5, 30, seed=3)
+        with pytest.raises(ValueError, match="are inconsistent"):
+            Predictor(W=W, a=np.zeros(shape), spec=SPEC)
+
     def test_callable_predictors_supported(self):
         out = predict(lambda X: X[:, 0], np.arange(6.0).reshape(3, 2))
         np.testing.assert_array_equal(out, [0.0, 2.0, 4.0])
