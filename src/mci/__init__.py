@@ -40,7 +40,6 @@ from .features import (
     RidgeTarget,
     featurize,
     kernel_matrix,
-    mean_feature,
     mean_features,
     sample_covariates,
     sample_data,

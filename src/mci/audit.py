@@ -38,6 +38,7 @@ from .features import (
     featurize,
     mean_features,
     sample_covariates,
+    whiten,
 )
 from .penalty import PenaltySpec, link_s, link_s_prime
 from .seeding import rng_from
@@ -271,7 +272,7 @@ def assumption_report(
     rng = rng_from(seed, "weights", 77)
     W = _draw_weights(spec, inst.d, n_samples, rng)
     Phi = featurize(spec, inst.X, W, seed=int(rng.integers(2**32)))  # n x M
-    Psi = (oracle.inv_sqrt @ Phi).T  # M x n whitened samples
+    Psi = whiten(oracle, Phi).T  # M x n whitened samples
 
     Fbar = mean_features(spec, inst.X, W)  # n x M (no noise)
     tau_scalar = max(subgaussian_proxy(Fbar[i]) for i in range(inst.n))
@@ -402,7 +403,7 @@ def event_audit(
     eps2 = float(np.linalg.norm(oracle.inv_sqrt @ g_ref)) / s_norm
 
     # E3: smallest whitened curvature of the finite dual over the grid.
-    Psi = oracle.inv_sqrt @ finite.Phi
+    Psi = whiten(oracle, finite.Phi)
     N = finite.Phi.shape[1]
     min_curv = math.inf
     for g in range(G):

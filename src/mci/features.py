@@ -247,15 +247,6 @@ def featurize(
     return (Phi, Z) if return_noise else Phi
 
 
-def mean_feature(spec: FeatureSpec, x: np.ndarray, w: np.ndarray) -> float:
-    """Mean feature sigma(<x, w>): the noise is integrated out."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.shape != w.shape or x.ndim != 1:
-        raise ValueError(f"x {x.shape} and w {w.shape} must be equal-length vectors")
-    return float(apply_activation(spec.activation, np.atleast_1d(x @ w))[0])
-
-
 def mean_features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Batch mean features sigma(X W^T), shape (rows of X) x (rows of W)."""
     X = np.asarray(X, dtype=np.float64)

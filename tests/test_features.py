@@ -13,7 +13,6 @@ from mci.features import (
     apply_activation,
     featurize,
     kernel_matrix,
-    mean_feature,
     mean_features,
     sample_covariates,
     sample_data,
@@ -121,17 +120,18 @@ class TestFeaturize:
 
 
 class TestMeanFeature:
+    # One covariate row against one weight row: the 1 x 1 batch.
     def test_relu(self):
-        assert mean_feature(RELU_GAUSS, np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 2.0
+        assert mean_features(RELU_GAUSS, np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]])) == 2.0
 
     def test_identity_ignores_noise(self):
         spec = FeatureSpec(activation="identity", noise_gamma=1.0)
         x, w = np.array([1.5, -2.0]), np.array([0.5, 1.0])
-        assert mean_feature(spec, x, w) == pytest.approx(x @ w)
+        assert mean_features(spec, x[None], w[None])[0, 0] == pytest.approx(x @ w)
 
     def test_truncated_interior(self):
         spec = FeatureSpec(activation="truncated_relu")
-        assert mean_feature(spec, np.array([0.5, 0.0]), np.array([1.0, 0.0])) == 0.5
+        assert mean_features(spec, np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]])) == 0.5
 
 
 class TestSampleData:

@@ -184,18 +184,13 @@ class TestSolveDual:
         sol = solve_dual(Phi, y, P2, SolverOptions(max_iters=50))
         assert not sol.converged
 
-    def test_custom_init_used(self):
-        Phi, y = _random_problem(8, 40, 4, seed=11)
-        direct = np.linalg.solve(Phi @ Phi.T / 40, y)
-        sol = solve_dual(Phi, y, P2, init=direct)
-        assert sol.converged and sol.iters == 0
-
-    def test_gradient_fallback_from_flat_start(self):
+    def test_gradient_fallback_from_flat_start(self, monkeypatch):
         # Q = 3 makes the Hessian vanish at the origin; the first step must
         # fall back to gradient ascent and the solve still converges.
+        monkeypatch.setattr(solver, "_initial_point", lambda Phi, y, pen, lam0: np.zeros(10))
         pen = PenaltySpec.pnorm(1.5)
         Phi, y = _random_problem(10, 60, 4, seed=18)
-        sol = solve_dual(Phi, y, pen, init=np.zeros(10))
+        sol = solve_dual(Phi, y, pen)
         assert sol.converged
 
 
@@ -297,6 +292,61 @@ class TestSolveL1:
         prim = solve_l1(Phi, y)
         assert prim.objective_primal <= np.sum(np.abs(a_dual)) + 1e-8
 
+    @staticmethod
+    def _wrap_linprog(monkeypatch, change):
+        """Every linprog result passes through change(res) before solve_l1 sees it."""
+        linprog = solver.linprog
+
+        def wrapped(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            change(res)
+            return res
+
+        monkeypatch.setattr(solver, "linprog", wrapped)
+
+    def test_polish_restores_a_perturbed_vertex(self, monkeypatch):
+        # A vertex off by 1e-6 relative (zeros and signs kept) misses the
+        # residual tolerance; re-solving on its support recovers the optimum.
+        Phi, y = _random_problem(10, 50, 4, seed=16)
+        exact = solve_l1(Phi, y)
+        rng = np.random.default_rng(0)
+
+        def perturb(res):
+            res.x = res.x * (1 + 1e-6 * rng.choice([-1.0, 1.0], res.x.shape))
+
+        self._wrap_linprog(monkeypatch, perturb)
+        prim = solve_l1(Phi, y)
+        assert prim.residual <= L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
+        np.testing.assert_allclose(prim.a, exact.a, rtol=1e-9, atol=1e-12 * np.abs(exact.a).max())
+        assert prim.objective_primal == pytest.approx(exact.objective_primal, rel=1e-12)
+
+    def test_sign_flip_is_not_polished(self, monkeypatch):
+        # Swapping a+ and a- of one support coordinate flips its sign; the
+        # re-solve would flip it back, so the vertex is rejected instead.
+        Phi, y = _random_problem(10, 50, 4, seed=16)
+        N = Phi.shape[1]
+
+        def flip(res):
+            j = int(np.flatnonzero(res.x[:N] - res.x[N:])[0])
+            res.x[j], res.x[N + j] = res.x[N + j], res.x[j]
+
+        self._wrap_linprog(monkeypatch, flip)
+        with pytest.raises(Infeasible, match="violates the constraints"):
+            solve_l1(Phi, y)
+
+    def test_vertex_within_tolerance_is_kept(self, monkeypatch):
+        # A vertex that meets the tolerance is returned bitwise, unpolished.
+        seen = []
+        self._wrap_linprog(monkeypatch, lambda res: seen.append(res.x.copy()))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("vertex polished although it met the tolerance")
+
+        monkeypatch.setattr(solver.np.linalg, "pinv", fail)
+        Phi, y = _random_problem(10, 50, 4, seed=16)
+        N = Phi.shape[1]
+        np.testing.assert_array_equal(solve_l1(Phi, y).a, seen[0][:N] - seen[0][N:])
+
 
 def _range_distance(Phi, y):
     """dist(y, range Phi) from an orthonormal basis of range(Phi) (N < n)."""
@@ -370,15 +420,53 @@ class TestInfeasibilityCertificate:
         with pytest.raises(Infeasible, match="admit no solution"):
             solve_l1(Phi, y)
 
-    def test_overdetermined_width_skips_the_test(self, monkeypatch):
-        # N >= n takes the Newton path unchanged: no least-squares solve.
-        def fail(*args, **kwargs):
-            raise AssertionError("range test run with N >= n")
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_rank_deficient_wide_row_is_infeasible(self, p):
+        # N = 64 >= n = 12, but identity features of d = 5 covariates have
+        # rank 5 and a relu target lies outside their range: certified at
+        # once instead of running the whole Newton budget.
+        ds = DataSpec(d=5, target=RidgeTarget.random(5, 0))
+        inst = sample_data(ds, 12, 0)
+        spec = FeatureSpec(activation="identity")
+        Phi = featurize(spec, inst.X, sample_weights(spec, 5, 64, 0), seed=0)
+        res = fit(Phi, inst.y, PenaltySpec.pnorm(p))
+        assert res.status == STATUS_INFEASIBLE and res.iters == 0
 
-        monkeypatch.setattr(solver.np.linalg, "lstsq", fail)
-        Phi, y = _random_problem(8, 40, 4, seed=11)
-        assert solve_dual(Phi, y, P2).converged
-        assert solve_l1(Phi, y).residual <= 1e-8 * max(np.linalg.norm(y), 1.0)
+    @pytest.mark.parametrize("factor, infeasible", [(0.5, True), (2.0, False)])
+    def test_null_threshold_decides_the_status(self, factor, infeasible):
+        # G = Phi Phi^T / N has eigenvalues 1 and one mu = factor times the
+        # null threshold GRAM_NULL_RTOL * n * lambda_max; y is mu's
+        # eigenvector.  Below the threshold y counts as outside range(Phi);
+        # above it the row goes to Newton (ill-conditioned, so it need not
+        # converge in 5 iterations).
+        n, N = 40, 80
+        rng = np.random.default_rng(3)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((N, n)))
+        mu = np.ones(n)
+        mu[-1] = factor * solver.GRAM_NULL_RTOL * n
+        Phi = U @ (np.sqrt(N * mu)[:, None] * V.T)
+        sol = solve_dual(Phi, U[:, -1], P2, SolverOptions(max_iters=5))
+        assert (sol.status == STATUS_INFEASIBLE) == infeasible
+        assert (sol.iters == 0) == infeasible
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("N", [8, 40])
+    def test_one_gram_eigendecomposition_per_fit(self, monkeypatch, p, N):
+        # The range test and the Newton start share one eigh, on either side
+        # of n = 20, for certified-infeasible and feasible rows alike.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(solver.np.linalg, "eigh", counted)
+        Phi, y = _random_problem(20, N, 6, seed=10)
+        res = fit(Phi, y, PenaltySpec.pnorm(p))
+        assert res.status == (STATUS_INFEASIBLE if N < 20 else STATUS_CONVERGED)
+        assert calls == [(20, 20)]
 
 
 class TestInitialPoint:
@@ -400,7 +488,7 @@ class TestInitialPoint:
     def test_scale_maximises_the_ray(self, p):
         pen = PenaltySpec.pnorm(p)
         Phi, y = _random_problem(30, 120, 8, seed=8)
-        lam = solver._initial_point(Phi, y, pen)
+        lam = solver._initial_point(Phi, y, pen, solver._range_split(Phi, y)[0])
         f = dual_objective(Phi, y, pen, lam)
         for factor in (1 - 1e-3, 1 + 1e-3):
             assert f >= dual_objective(Phi, y, pen, factor * lam)
@@ -508,5 +596,6 @@ class TestNewtonDirection:
         sol = solve_dual(Phi, y, PenaltySpec.pnorm(1.5), SolverOptions(max_iters=20))
         assert sol.status in (STATUS_CONVERGED, STATUS_MAX_ITERS, solver.STATUS_LINE_SEARCH_FAILED)
         assert sol.iters > 0 and directions and all(directions)
-        assert sol.objective > dual_objective(Phi, y, PenaltySpec.pnorm(1.5),
-                                              solver._initial_point(Phi, y, PenaltySpec.pnorm(1.5)))
+        pen = PenaltySpec.pnorm(1.5)
+        start = solver._initial_point(Phi, y, pen, solver._range_split(Phi, y)[0])
+        assert sol.objective > dual_objective(Phi, y, pen, start)
