@@ -63,14 +63,12 @@ from .predict import (
     test_error,
 )
 from .solver import (
-    DualSolution,
-    PrimalSolution,
+    Solution,
     SolverOptions,
     dual_gradient,
     dual_hessian,
     dual_objective,
     fit,
-    primal_from_dual,
     solve_dual,
     solve_l1,
 )

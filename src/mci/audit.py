@@ -42,7 +42,7 @@ from .features import (
 )
 from .penalty import PenaltySpec, link_s, link_s_prime
 from .seeding import rng_from
-from .solver import DualSolution, dual_gradient
+from .solver import Solution, dual_gradient
 
 # Gaussian absolute moments E|G|^q for the moment-ratio proxy.
 _GAUSS_ABS_MOMENTS = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -316,11 +316,11 @@ def assumption_report(
 # ---------------------------------------------------------------------------
 
 class SolvedModel(NamedTuple):
-    """A width-N model: weights, feature matrix, and its dual solution."""
+    """A width-N model: weights, feature matrix, and its dual solve."""
 
     W: np.ndarray
     Phi: np.ndarray
-    solution: DualSolution
+    solution: Solution
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .features import featurize, sample_data, sample_weights, save_matrix_csv
 from .penalty import PenaltySpec
-from .solver import STATUS_CONVERGED, fit
+from .solver import fit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,11 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, experiment: str) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
     raw = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
-    raw["experiment"] = experiment
     cfg = ExperimentConfig.from_dict(raw)
     if args.overrides:
         cfg = cfg.with_overrides(args.overrides)
@@ -95,7 +94,7 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args, SOLVE)
+    cfg = _load_config(args)
     seed = cfg.seeds[0]
     N = args.N or cfg.N_list[-1]
     spec, ds = cfg.feature_spec(), cfg.data_spec()
@@ -109,13 +108,13 @@ def _cmd_solve(args) -> int:
     summary = {
         "p": args.p,
         "status": res.status,
-        "converged": res.status == STATUS_CONVERGED,
+        "converged": res.converged,
         "iters": res.iters,
         "objective_primal": res.objective_primal,
         "residual": res.residual,
         "support": None if res.a is None else int(np.sum(res.a != 0)),
-        "objective_dual": None if res.dual is None else res.dual.objective,
-        "grad_norm": None if res.dual is None else res.dual.grad_norm,
+        "objective_dual": res.objective_dual,
+        "grad_norm": None if res.lambda_hat is None else res.residual,
         "wall_ms": wall_ms,
         "n": cfg.n,
         "N": N,
@@ -133,14 +132,14 @@ def _cmd_solve(args) -> int:
             save_matrix_csv(out / "Phi.csv", Phi)
             if res.a is not None:
                 save_matrix_csv(out / "a.csv", res.a)
-            if res.dual is not None:
-                save_matrix_csv(out / "lambda.csv", res.dual.lambda_hat)
+            if res.lambda_hat is not None:
+                save_matrix_csv(out / "lambda.csv", res.lambda_hat)
     print(json.dumps(summary, indent=2))
     return 0 if summary["converged"] else 2
 
 
 def _cmd_experiment(args, experiment: str) -> int:
-    cfg = _load_config(args, experiment)
+    cfg = _load_config(args)
     runner = {FIG1: run_fig1, SCALING: run_scaling, LATENT: run_latent}[experiment]
     result: ExperimentResult = runner(cfg)
     out = Path(cfg.output_path) if cfg.output_path else Path(f"mci_{experiment}_out")
@@ -151,7 +150,7 @@ def _cmd_experiment(args, experiment: str) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = _load_config(args, AUDIT)
+    cfg = _load_config(args)
     doc = run_audit(cfg)
     out = Path(cfg.output_path) if cfg.output_path else Path("mci_audit_out")
     out.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,8 @@
 Malformed or out-of-range input (an argument, a config field, a results file)
 raises the built-in ValueError.  The classes below name the outcomes that a
 well-formed input can still end in, and exist because some caller tells them
-apart: the CLI reports any MciError, `solver.fit` turns Infeasible into a row
-status, and NotConvergedWarning marks a primal recovered from an unconverged
-dual.
+apart: the CLI reports any MciError, and `solver.fit` turns Infeasible into a
+row status.
 """
 
 
@@ -26,7 +25,3 @@ class NotConverged(MciError):
 
 class Infeasible(MciError):
     """The interpolation constraints admit no solution."""
-
-
-class NotConvergedWarning(UserWarning):
-    """Primal recovery was requested from a non-converged dual solution."""

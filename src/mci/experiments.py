@@ -27,7 +27,6 @@ from .audit import (
     event_audit,
     hermite_coefficients,
     hermite_condition_check,
-    smallball_estimate,
 )
 from .errors import NotConverged
 from .features import (
@@ -50,20 +49,7 @@ from .features import (
 from .penalty import PenaltySpec
 from .predict import Predictor, kernel_interpolant, l2_distance, test_error
 from .seeding import derive_seed as derived_seed
-from .solver import STATUS_CONVERGED, SolverOptions, fit, solve_dual
-
-CSV_COLUMNS = (
-    "experiment",
-    "p",
-    "n",
-    "N",
-    "seed",
-    "test_error",
-    "l2_to_ref",
-    "solver_iters",
-    "converged",
-    "wall_ms",
-)
+from .solver import SolverOptions, fit, solve_dual
 
 FIG1 = "fig1"
 SCALING = "scaling"
@@ -87,7 +73,6 @@ class ExperimentConfig:
     """Fully-resolved experiment parameters; defaults follow the headline sweep
     (d = 30, n = 150, 20 seeds, p in {1, 1.25, 1.5, 2}, N = 2^6 .. 2^13)."""
 
-    experiment: str = FIG1
     d: int = 30
     n: int = 150
     p_list: list[float] = field(default_factory=lambda: [1.0, 1.25, 1.5, 2.0])
@@ -192,6 +177,11 @@ class Row:
     wall_ms: float
 
 
+# The rows.csv schema: Row's fields, in order, each parsed by its annotation.
+CSV_COLUMNS = tuple(f.name for f in fields(Row))
+_ROW_TYPES = typing.get_type_hints(Row)
+
+
 @dataclass
 class ExperimentResult:
     rows: list[Row]
@@ -249,16 +239,15 @@ def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instanc
     from the reference solve's own noise matrix.
     """
     if p == 2.0:
-        method = _closed_form_method(spec)
-        oracle = kernel_matrix(
-            spec, inst.X, method=method, mc_samples=100_000, seed=derived_seed(seed, "kernel")
-        )
-        return kernel_interpolant(oracle, inst, spec), cfg.gamma**2 * oracle.inv_apply(inst.y)
+        oracle = kernel_matrix(spec, inst.X, method=_closed_form_method(spec),
+                               seed=derived_seed(seed, "kernel"))
+        ref = kernel_interpolant(oracle, inst.y)
+        return ref, cfg.gamma**2 * ref.coeffs
     ref_seed = derived_seed(seed, "reference")
     W_ref = sample_weights(spec, cfg.d, cfg.N_ref, ref_seed)
     Phi_ref, Z_ref = featurize(spec, inst.X, W_ref, seed=ref_seed, return_noise=True)
     ref = fit(Phi_ref, inst.y, PenaltySpec.pnorm(p), cfg.solver)
-    if ref.status != STATUS_CONVERGED:
+    if not ref.converged:
         raise NotConverged(f"reference solve ended {ref.status} (p={p}, N_ref={cfg.N_ref})")
     noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ ref.a / cfg.N_ref
     return Predictor(W=W_ref, a=ref.a, spec=spec), noise
@@ -317,19 +306,19 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
                 t0 = time.perf_counter()
                 res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver)
                 fits.append((p, N, res, (time.perf_counter() - t0) * 1e3))
-                if experiment == LATENT and res.status == STATUS_CONVERGED and p > 1:
+                if experiment == LATENT and res.converged and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
                     residuals[(p, N)] = float(np.linalg.norm(Z @ res.a / N - ref_noise[p]))
         # A width-N model is the column (N_max / N) a of a model on W_max,
         # zero-padded below N, so one pass predicts every converged model.
-        converged = [(N, res.a) for _, N, res, _ in fits if res.status == STATUS_CONVERGED]
+        converged = [(N, res.a) for _, N, res, _ in fits if res.converged]
         A = np.zeros((N_max, len(converged)))
         for c, (N, a) in enumerate(converged):
             A[:N, c] = (N_max / N) * a
         columns = iter(Predictor(W=W_max, a=A, spec=spec).predict(X_test).T if converged else ())
         rows = []
         for p, N, res, wall in fits:
-            ok = res.status == STATUS_CONVERGED
+            ok = res.converged
             te = dist = math.nan
             if ok:
                 values = next(columns)
@@ -426,8 +415,7 @@ def run_audit(cfg: ExperimentConfig) -> dict:
     condition = hermite_condition_check(profile, ell=1, C0=cfg.C0)
 
     method = _closed_form_method(spec)
-    oracle = kernel_matrix(spec, inst.X, method=method, mc_samples=100_000,
-                           seed=derived_seed(seed, "kernel"))
+    oracle = kernel_matrix(spec, inst.X, method=method, seed=derived_seed(seed, "kernel"))
     report = assumption_report(spec, inst, oracle, n_samples=20_000, eta=cfg.eta,
                                directions=128, seed=derived_seed(seed, "directions"))
 
@@ -496,18 +484,11 @@ def persist(result: ExperimentResult, out_dir) -> Path:
 
 
 def _parse_row(parts: list[str]) -> Row:
-    return Row(
-        experiment=parts[0],
-        p=float(parts[1]),
-        n=int(parts[2]),
-        N=int(parts[3]),
-        seed=int(parts[4]),
-        test_error=float(parts[5]),
-        l2_to_ref=float(parts[6]),
-        solver_iters=int(parts[7]),
-        converged=parts[8] == "true",
-        wall_ms=float(parts[9]),
-    )
+    """One rows.csv line; a bool field reads "true" as True and anything else as False."""
+    return Row(**{
+        name: text == "true" if _ROW_TYPES[name] is bool else _ROW_TYPES[name](text)
+        for name, text in zip(CSV_COLUMNS, parts)
+    })
 
 
 def load(path) -> ExperimentResult:

@@ -16,7 +16,6 @@ import numpy as np
 from .features import (
     DataSpec,
     FeatureSpec,
-    Instance,
     KernelOracle,
     mean_features_dot,
     sample_covariates,
@@ -52,12 +51,10 @@ class Predictor:
 
 @dataclass(frozen=True)
 class KernelPredictor:
-    """Kernel interpolant f(x) = k(x, .)^T K^{-1} y over the training rows."""
+    """Kernel interpolant f(x) = k(x, .)^T K^{-1} y over the oracle's training rows."""
 
-    X_train: np.ndarray
-    coeffs: np.ndarray
     kernel: KernelOracle
-    spec: FeatureSpec
+    coeffs: np.ndarray
 
     def predict(self, X_test: np.ndarray) -> np.ndarray:
         return self.kernel.cross(X_test) @ self.coeffs
@@ -82,12 +79,11 @@ def predict(pred, X_test: np.ndarray) -> np.ndarray:
     return np.asarray(pred(X_test), dtype=np.float64)
 
 
-def kernel_interpolant(oracle: KernelOracle, inst: Instance, spec: FeatureSpec) -> KernelPredictor:
+def kernel_interpolant(oracle: KernelOracle, y: np.ndarray) -> KernelPredictor:
     """Exact-fit kernel predictor with coefficients K^{-1} y."""
-    if oracle.n != inst.n:
-        raise ValueError("oracle and instance disagree on n")
-    coeffs = oracle.inv_apply(inst.y)
-    return KernelPredictor(X_train=inst.X, coeffs=coeffs, kernel=oracle, spec=spec)
+    if np.shape(y) != (oracle.n,):
+        raise ValueError(f"y has shape {np.shape(y)}, expected ({oracle.n},)")
+    return KernelPredictor(kernel=oracle, coeffs=oracle.inv_apply(y))
 
 
 def _test_batch(ds: DataSpec, M: int, seed: int, X_test: np.ndarray | None) -> np.ndarray:

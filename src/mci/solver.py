@@ -10,21 +10,21 @@ residual, so convergence is measured on the gradient alone.  A damped Newton
 ascent with Armijo backtracking handles all p > 1; the l1 case is a linear
 program over the split a = a+ - a-.  Both first take one eigendecomposition
 of the Gram matrix G = Phi Phi^T / N, which tests y against range(Phi) at
-every width and gives the Newton start G^+ y.  `fit` runs whichever applies
-and reports every outcome as one of the STATUS_* strings.
+every width and gives the Newton start G^+ y.  Either path returns one
+`Solution` record whose status is one of the STATUS_* strings; `fit` runs
+whichever path applies.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import Infeasible, NotConvergedWarning
+from .errors import Infeasible
 from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
 
 STATUS_CONVERGED = "converged"
@@ -65,27 +65,28 @@ class SolverOptions:
 
 
 @dataclass
-class DualSolution:
-    lambda_hat: np.ndarray
-    grad_norm: float
-    objective: float
-    iters: int
-    trace: list[tuple[int, float, float, float]]  # (iter, objective, grad_norm, step)
-    status: str = STATUS_CONVERGED
+class Solution:
+    """The record of one solve, by the dual Newton ascent (p > 1) or the l1 program.
+
+    `a` is set only when the solve converged; otherwise it is None and
+    `objective_primal` is nan.  `residual` is ||(1/N) Phi a - y||_2 for the l1
+    program and the dual gradient norm for p > 1, which is the same
+    interpolation residual.  The dual fields are None or empty for p = 1.
+    """
+
+    status: str
+    a: np.ndarray | None
+    objective_primal: float  # sum_j rho(a_j)
+    residual: float
+    iters: int = 0  # Newton iterations; 0 for the linear program
+    lambda_hat: np.ndarray | None = None
+    objective_dual: float | None = None
+    # One (iter, objective_dual, gradient norm, step) entry per Newton iterate.
+    trace: list[tuple[int, float, float, float]] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
         return self.status == STATUS_CONVERGED
-
-
-@dataclass
-class PrimalSolution:
-    a: np.ndarray | None  # None when the solve did not converge (see `fit`)
-    objective_primal: float  # sum_j rho(a_j)
-    residual: float  # ||(1/N) Phi a - y||_2
-    status: str = STATUS_CONVERGED
-    iters: int = 0  # Newton iterations; 0 for the linear program
-    dual: DualSolution | None = None  # the dual solve behind a p > 1 fit
 
 
 def _check_dims(Phi: np.ndarray, y: np.ndarray, lam: np.ndarray | None = None) -> None:
@@ -162,7 +163,7 @@ def solve_dual(
     y: np.ndarray,
     pen: PenaltySpec,
     opts: SolverOptions | None = None,
-) -> DualSolution:
+) -> Solution:
     """Maximize the dual by damped Newton ascent with Armijo backtracking.
 
     Newton direction (-hess + ridge I)^{-1} grad, with ridge proportional to
@@ -174,13 +175,15 @@ def solve_dual(
     its gradient meets the tolerance, else max_iters when k = max_iters, else
     line_search_failed when no step along the Newton direction or the
     gradient is accepted.  Each iterate appends one trace entry, so the trace
-    has iters + 1 entries and the last one holds grad_norm.
+    has iters + 1 entries and the last one holds `residual`, the gradient
+    norm.  The converged exit recovers a_j = s(<phi_j, lambda_hat>); the
+    others leave `a` None.
 
     The gradient (the interpolation residual) is y minus a vector of
     range(Phi), so its norm never falls below dist(y, range Phi), which
     `_range_split` measures at every width before any Newton work.  When it
     exceeds the tolerance the problem is certified infeasible and the
-    solution has status "infeasible", iters=0 and, as lambda_hat, the unit
+    record has status "infeasible", iters=0 and, as lambda_hat, the unit
     Farkas direction v (Phi^T v ~ 0, <v, y> = dist(y, range Phi) > 0), along
     which the dual objective grows without bound.
     """
@@ -198,7 +201,7 @@ def solve_dual(
         farkas = r / dist
         obj = dual_objective(Phi, y, pen, farkas)
         gn = float(np.linalg.norm(dual_gradient(Phi, y, pen, farkas)))
-        return DualSolution(farkas, gn, obj, 0, [(0, obj, gn, 0.0)], STATUS_INFEASIBLE)
+        return Solution(STATUS_INFEASIBLE, None, math.nan, gn, 0, farkas, obj, [(0, obj, gn, 0.0)])
 
     lam = _initial_point(Phi, y, pen, lam0)
     obj = dual_objective(Phi, y, pen, lam)
@@ -209,8 +212,8 @@ def solve_dual(
         gn = float(np.linalg.norm(g))
         trace.append((k, obj, gn, step))
         if gn <= tol:
-            status = STATUS_CONVERGED
-            break
+            a = np.asarray(link_s(pen, Phi.T @ lam))
+            return Solution(STATUS_CONVERGED, a, float(np.sum(rho(pen, a))), gn, k, lam, obj, trace)
         if k == opts.max_iters:
             status = STATUS_MAX_ITERS
             break
@@ -226,7 +229,7 @@ def solve_dual(
         if not accepted:
             status = STATUS_LINE_SEARCH_FAILED
             break
-    return DualSolution(lam, gn, obj, k, trace, status)
+    return Solution(status, None, math.nan, gn, k, lam, obj, trace)
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -277,27 +280,7 @@ def _armijo(Phi, y, pen, lam, u, obj, g, direction):
     return False, lam, obj, 0.0
 
 
-def primal_from_dual(Phi: np.ndarray, pen: PenaltySpec, sol: DualSolution) -> PrimalSolution:
-    """Recover a_j = s(<phi_j, lambda_hat>); the residual is the dual gradient norm."""
-    Phi = np.asarray(Phi, dtype=np.float64)
-    if not sol.converged:
-        warnings.warn(
-            "recovering primal from a non-converged dual solution",
-            NotConvergedWarning,
-            stacklevel=2,
-        )
-    a = np.asarray(link_s(pen, Phi.T @ sol.lambda_hat))
-    return PrimalSolution(
-        a=a,
-        objective_primal=float(np.sum(rho(pen, a))),
-        residual=sol.grad_norm,
-        status=sol.status,
-        iters=sol.iters,
-        dual=sol,
-    )
-
-
-def solve_l1(Phi: np.ndarray, y: np.ndarray) -> PrimalSolution:
+def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
     """Minimize sum_j |a_j| subject to (1/N) Phi a = y, as a linear program.
 
     Split a = a+ - a- with a-, a+ >= 0 and solve with the HiGHS dual simplex,
@@ -345,27 +328,22 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> PrimalSolution:
             residual = float(np.linalg.norm(Phi @ a / N - y))
     if residual > tol:
         raise Infeasible(f"l1 solution violates the constraints (residual {residual:.3e})")
-    return PrimalSolution(a=a, objective_primal=float(np.sum(np.abs(a))), residual=residual)
+    return Solution(STATUS_CONVERGED, a, float(np.sum(np.abs(a))), residual)
 
 
 def fit(
     Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, opts: SolverOptions | None = None
-) -> PrimalSolution:
+) -> Solution:
     """Minimum-complexity interpolant for any p: the l1 program when p = 1,
-    else the dual solve and its primal recovery.
+    else the dual solve.
 
     Every outcome is a status (converged, infeasible, max_iters or
     line_search_failed); an Infeasible from the l1 program becomes status
-    "infeasible" with iters 0.  Coefficients are recovered only from a
-    converged solve: otherwise `a` is None and `objective_primal` is nan, while
-    a p > 1 fit keeps its dual solve (and its gradient norm as `residual`).
+    "infeasible" with iters 0 and a nan residual.
     """
-    if pen.is_l1:
-        try:
-            return solve_l1(Phi, y)
-        except Infeasible:
-            return PrimalSolution(None, math.nan, math.nan, STATUS_INFEASIBLE)
-    sol = solve_dual(Phi, y, pen, opts)
-    if not sol.converged:
-        return PrimalSolution(None, math.nan, sol.grad_norm, sol.status, sol.iters, sol)
-    return primal_from_dual(Phi, pen, sol)
+    if not pen.is_l1:
+        return solve_dual(Phi, y, pen, opts)
+    try:
+        return solve_l1(Phi, y)
+    except Infeasible:
+        return Solution(STATUS_INFEASIBLE, None, math.nan, math.nan)

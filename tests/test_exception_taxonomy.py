@@ -1,4 +1,4 @@
-"""mci raises ValueError for bad input and five exception types for the rest.
+"""mci raises ValueError for bad input and four exception types for the rest.
 
 A malformed or out-of-range argument, config field or results file raises the
 built-in ValueError.  An exception class of the package exists only where a
@@ -14,8 +14,7 @@ import mci
 
 PACKAGE = Path(mci.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-EXCEPTION_TYPES = {"MciError", "NumericalFailure", "NotConverged", "Infeasible",
-                   "NotConvergedWarning"}
+EXCEPTION_TYPES = {"MciError", "NumericalFailure", "NotConverged", "Infeasible"}
 RAISABLE = EXCEPTION_TYPES | {"ValueError"}
 
 
@@ -33,7 +32,7 @@ def _foreign_raises(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def test_errors_defines_exactly_the_five_types():
+def test_errors_defines_exactly_the_four_types():
     tree = ast.parse((PACKAGE / "errors.py").read_text())
     assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == EXCEPTION_TYPES
 

@@ -55,6 +55,7 @@ class TestConfig:
     def test_from_dict_unknown_key(self):
         for raw, message in (
             ({"frobnicate": 1}, "frobnicate"),
+            ({"experiment": "fig1"}, r"unknown config keys: \['experiment'\]"),
             ({"solver": {"foo": 1}}, r"unknown solver keys: \['foo'\]"),
             ({"solver": {"armijo_c1": 1e-4}}, "armijo_c1"),
             ({"solver": 3}, "solver must be a dict"),
@@ -125,6 +126,10 @@ class TestPersistence:
         assert text == ",".join(CSV_COLUMNS)
         assert load(out).rows == []
 
+    def test_columns_are_the_pinned_schema(self):
+        assert CSV_COLUMNS == ("experiment", "p", "n", "N", "seed", "test_error", "l2_to_ref",
+                               "solver_iters", "converged", "wall_ms")
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("experiment,p,n,N,seed,test_error\nfig1,2,5,8,0,0.1\n")
@@ -139,7 +144,7 @@ class TestPersistence:
 
 
 FAST_FIG1 = dict(
-    experiment="fig1", d=5, n=16, p_list=[1.0, 1.5, 2.0], N_list=[32, 64],
+    d=5, n=16, p_list=[1.0, 1.5, 2.0], N_list=[32, 64],
     seeds=[0, 1, 2], M_test=2_000,
 )
 
@@ -166,7 +171,7 @@ class TestFig1:
     def test_underdetermined_rows_recorded(self):
         # N < n: certified infeasible before any solve; rows carry converged=False.
         cfg = ExperimentConfig(
-            experiment="fig1", d=5, n=16, p_list=[2.0], N_list=[8],
+            d=5, n=16, p_list=[2.0], N_list=[8],
             seeds=[0], M_test=2_000,
         )
         res = run_fig1(cfg)
@@ -185,7 +190,7 @@ class TestFig1:
                                       M_test=1_000))
 
     def test_ci_shrinks_with_more_seeds(self):
-        base = dict(experiment="fig1", d=5, n=16, p_list=[1.5], N_list=[128], M_test=4_000)
+        base = dict(d=5, n=16, p_list=[1.5], N_list=[128], M_test=4_000)
         ci5 = list(run_fig1(ExperimentConfig(**base, seeds=list(range(5)))).aggregates.values())[0][
             "test_error_ci95"
         ]
@@ -211,7 +216,7 @@ class TestFig1:
         from mci.seeding import derive_seed
 
         cfg = ExperimentConfig(
-            experiment="fig1", d=5, n=20, p_list=[2.0], N_list=[4096],
+            d=5, n=20, p_list=[2.0], N_list=[4096],
             seeds=[0, 1, 2], M_test=20_000, target_seed=0,
         )
         res = run_fig1(cfg)
@@ -219,7 +224,7 @@ class TestFig1:
         ds = DataSpec(d=5, target=RidgeTarget.random(5, 0))
         for row in res.rows:
             inst = sample_data(ds, 20, row.seed)
-            kp = kernel_interpolant(kernel_matrix(spec, inst.X, method="arc_cosine"), inst, spec)
+            kp = kernel_interpolant(kernel_matrix(spec, inst.X, method="arc_cosine"), inst.y)
             kerr = mse(kp, ds, cfg.M_test, derive_seed(row.seed, "test"))
             assert abs(row.test_error - kerr) <= 0.10 * kerr
 
@@ -228,14 +233,14 @@ class TestScaling:
     def test_single_width_rejected(self):
         with pytest.raises(ValueError):
             run_scaling(
-                ExperimentConfig(experiment="scaling", d=5, n=16, p_list=[2.0],
+                ExperimentConfig(d=5, n=16, p_list=[2.0],
                                  N_list=[64], seeds=[0])
             )
 
     def test_width_short_of_a_slope_keeps_the_rows(self):
         # N = 16, 32 < n = 40 are infeasible, so p = 1.5 converges at one
         # width only: it gets no slope and a reason, and every row is kept.
-        cfg = ExperimentConfig(experiment="scaling", d=10, n=40, p_list=[1.5],
+        cfg = ExperimentConfig(d=10, n=40, p_list=[1.5],
                                N_list=[16, 32, 64], seeds=[0], M_test=200, N_ref=512)
         res = run_scaling(cfg)
         assert [(r.N, r.converged) for r in res.rows] == [(16, False), (32, False), (64, True)]
@@ -246,7 +251,7 @@ class TestScaling:
 
     def test_slope_report(self):
         cfg = ExperimentConfig(
-            experiment="scaling", d=5, n=16, p_list=[2.0], N_list=[64, 128, 256],
+            d=5, n=16, p_list=[2.0], N_list=[64, 128, 256],
             seeds=[0, 1], M_test=2_000,
         )
         res = run_scaling(cfg)
@@ -259,15 +264,15 @@ class TestScaling:
 class TestLatent:
     def test_wrong_spec(self):
         with pytest.raises(ValueError, match="activation='identity' and gamma > 0"):
-            run_latent(ExperimentConfig(experiment="latent", activation="relu", gamma=1.0,
+            run_latent(ExperimentConfig(activation="relu", gamma=1.0,
                                         d=5, n=16, p_list=[2.0], N_list=[32, 64], seeds=[0]))
         with pytest.raises(ValueError, match="activation='identity' and gamma > 0"):
-            run_latent(ExperimentConfig(experiment="latent", activation="identity", gamma=0.0,
+            run_latent(ExperimentConfig(activation="identity", gamma=0.0,
                                         d=5, n=16, p_list=[2.0], N_list=[32, 64], seeds=[0]))
 
     def test_latent_run(self):
         cfg = ExperimentConfig(
-            experiment="latent", d=5, n=16, p_list=[2.0, 1.5], N_list=[64, 256],
+            d=5, n=16, p_list=[2.0, 1.5], N_list=[64, 256],
             seeds=[0, 1], gamma=1.0, activation="identity",
             target_activation="identity", M_test=2_000, N_ref=1024,
         )
@@ -278,7 +283,7 @@ class TestLatent:
 
     def test_latent_distance_decreases_with_width(self):
         cfg = ExperimentConfig(
-            experiment="latent", d=5, n=20, p_list=[2.0], N_list=[64, 1024],
+            d=5, n=20, p_list=[2.0], N_list=[64, 1024],
             seeds=list(range(4)), gamma=1.0, activation="identity",
             target_activation="identity", M_test=4_000,
         )
@@ -335,13 +340,13 @@ def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
 
 ENGINE_CASES = {
     # N = 8 < n: p = 1 is infeasible and the dual rows stop unconverged.
-    "fig1": (run_fig1, dict(experiment="fig1", d=5, n=12, p_list=[1.0, 1.5, 2.0],
+    "fig1": (run_fig1, dict(d=5, n=12, p_list=[1.0, 1.5, 2.0],
                             N_list=[8, 32, 64], seeds=[0, 1], M_test=1_000,
                             solver={"max_iters": 20})),
-    "scaling": (run_scaling, dict(experiment="scaling", d=5, n=12, p_list=[1.5, 2.0],
+    "scaling": (run_scaling, dict(d=5, n=12, p_list=[1.5, 2.0],
                                   N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000,
                                   N_ref=512, weight_dist="uniform_sphere")),
-    "latent": (run_latent, dict(experiment="latent", d=5, n=12, p_list=[2.0, 1.5],
+    "latent": (run_latent, dict(d=5, n=12, p_list=[2.0, 1.5],
                                 N_list=[32, 128], seeds=[0, 1], gamma=1.0,
                                 activation="identity", target_activation="identity",
                                 M_test=1_000, N_ref=512)),
@@ -350,7 +355,7 @@ ENGINE_CASES = {
 STACKED_CASES = {
     **ENGINE_CASES,
     # Widths that are not powers of two, so N_max / N is inexact; N = 10 < n.
-    "fig1_odd_widths": (run_fig1, dict(experiment="fig1", d=5, n=12, p_list=[1.0, 1.5, 2.0],
+    "fig1_odd_widths": (run_fig1, dict(d=5, n=12, p_list=[1.0, 1.5, 2.0],
                                        N_list=[10, 24, 40, 100], seeds=[0, 1], M_test=1_000)),
 }
 
@@ -400,7 +405,7 @@ class TestSweepEngine:
 
         monkeypatch.setattr(Predictor, "predict", count_finite)
         monkeypatch.setattr(KernelPredictor, "predict", count_kernel)
-        cfg = ExperimentConfig(experiment="scaling", d=5, n=12, p_list=[1.5, 2.0],
+        cfg = ExperimentConfig(d=5, n=12, p_list=[1.5, 2.0],
                                N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000, N_ref=512)
         res = run_scaling(cfg)
         assert len(res.rows) == 12 and all(r.converged for r in res.rows)
@@ -470,7 +475,7 @@ class TestSweepEngine:
         for module in (features, experiments, predict):
             monkeypatch.setattr(module, "sample_covariates", count_draw)
         monkeypatch.setattr(features.RidgeTarget, "__call__", count_target)
-        cfg = ExperimentConfig(experiment="scaling", d=5, n=12, p_list=[1.5, 2.0],
+        cfg = ExperimentConfig(d=5, n=12, p_list=[1.5, 2.0],
                                N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000, N_ref=512)
         res = run_scaling(cfg)
         assert len(res.rows) == 12 and all(r.converged for r in res.rows)
@@ -481,7 +486,7 @@ class TestSweepEngine:
 class TestAudit:
     def test_audit_document(self):
         cfg = ExperimentConfig(
-            experiment="audit", d=5, n=16, p_list=[1.5], N_list=[256], seeds=[0],
+            d=5, n=16, p_list=[1.5], N_list=[256], seeds=[0],
             gamma=1.0, activation="identity", target_activation="identity",
             M_test=2_000, N_ref=1024, m_max=8, quad_order=60,
         )
@@ -502,7 +507,7 @@ class TestAudit:
     )
     def test_failed_solve_names_both_statuses(self, N, solver, expected):
         cfg = ExperimentConfig.from_dict(dict(
-            experiment="audit", d=5, n=16, p_list=[1.5], N_list=[N], seeds=[0],
+            d=5, n=16, p_list=[1.5], N_list=[N], seeds=[0],
             gamma=1.0, activation="identity", target_activation="identity",
             M_test=2_000, N_ref=1024, m_max=8, quad_order=60, solver=solver,
         ))

@@ -1,5 +1,7 @@
 """Predictors, kernel interpolant, Monte Carlo distances and test errors."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -111,14 +113,14 @@ class TestKernelInterpolant:
 
         inst = Instance(X=np.zeros((4, 6)), y=np.array([1.0, -2.0, 0.5, 3.0]))
         oracle = kernel_matrix(spec, inst.X, method="latent_linear")  # K = I
-        kp = kernel_interpolant(oracle, inst, spec)
+        kp = kernel_interpolant(oracle, inst.y)
         np.testing.assert_allclose(kp.coeffs, inst.y, atol=1e-12)
 
     def test_interpolates_training_rows_arc_cosine(self):
         ds = _ds(6)
         inst = sample_data(ds, 25, seed=2)
         oracle = kernel_matrix(SPEC, inst.X, method="arc_cosine")
-        kp = kernel_interpolant(oracle, inst, SPEC)
+        kp = kernel_interpolant(oracle, inst.y)
         residual = np.linalg.norm(kp.predict(inst.X) - inst.y)
         assert residual <= 1e-8 * np.linalg.norm(inst.y)
 
@@ -130,7 +132,7 @@ class TestKernelInterpolant:
         X = rng.standard_normal((30, 10))
         inst = Instance(X=X, y=rng.standard_normal(30))
         oracle = kernel_matrix(spec, X, method="latent_linear")
-        kp = kernel_interpolant(oracle, inst, spec)
+        kp = kernel_interpolant(oracle, inst.y)
         residual = np.linalg.norm(kp.predict(X) - inst.y)
         assert residual <= 1e-8 * np.linalg.norm(inst.y)
 
@@ -238,7 +240,17 @@ class TestKernelPredictorType:
         ds = _ds(5)
         inst = sample_data(ds, 10, seed=12)
         oracle = kernel_matrix(SPEC, inst.X, method="arc_cosine")
-        kp = kernel_interpolant(oracle, inst, SPEC)
+        kp = kernel_interpolant(oracle, inst.y)
         assert isinstance(kp, KernelPredictor)
         assert kp.coeffs.shape == (10,)
         assert kp.kernel is oracle
+
+    def test_fields_are_what_predict_reads(self):
+        assert [f.name for f in fields(KernelPredictor)] == ["kernel", "coeffs"]
+
+    def test_y_must_match_the_oracle(self):
+        inst = sample_data(_ds(5), 10, seed=12)
+        oracle = kernel_matrix(SPEC, inst.X, method="arc_cosine")
+        for y in (inst.y[:9], inst.y[:, None]):
+            with pytest.raises(ValueError, match=r"expected \(10,\)"):
+                kernel_interpolant(oracle, y)

@@ -1,28 +1,27 @@
 """Dual solver: objective/derivatives, Newton ascent, primal recovery, l1 LP."""
 
+import dataclasses
 import itertools
-import warnings
 
 import numpy as np
 import pytest
 
 import mci.solver as solver
-from mci.errors import Infeasible, NotConvergedWarning
+from mci.errors import Infeasible
 from mci.features import DataSpec, FeatureSpec, RidgeTarget, featurize, sample_data, sample_weights
-from mci.penalty import PenaltySpec, link_s
+from mci.penalty import PenaltySpec, link_s, rho
 from mci.solver import (
     L1_RESIDUAL_RTOL,
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
     STATUS_LINE_SEARCH_FAILED,
     STATUS_MAX_ITERS,
-    DualSolution,
+    Solution,
     SolverOptions,
     dual_gradient,
     dual_hessian,
     dual_objective,
     fit,
-    primal_from_dual,
     solve_dual,
     solve_l1,
 )
@@ -161,7 +160,7 @@ class TestSolveDual:
     @pytest.mark.parametrize("status", [STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_LINE_SEARCH_FAILED])
     def test_every_exit_ends_on_a_traced_iterate(self, monkeypatch, status):
         # Each exit leaves the trace at iters + 1 entries, the last of which
-        # holds grad_norm, the true gradient norm at lambda_hat.
+        # holds the residual, the true gradient norm at lambda_hat.
         opts = SolverOptions()
         if status == STATUS_MAX_ITERS:
             opts = SolverOptions(max_iters=2)
@@ -174,9 +173,9 @@ class TestSolveDual:
         assert sol.status == status
         assert sol.converged == (sol.status == STATUS_CONVERGED)
         assert len(sol.trace) == sol.iters + 1
-        assert sol.trace[-1][2] == sol.grad_norm
+        assert sol.trace[-1][2] == sol.residual
         gn = np.linalg.norm(dual_gradient(Phi, y, pen, sol.lambda_hat))
-        assert sol.grad_norm == pytest.approx(gn, rel=1e-12)
+        assert sol.residual == pytest.approx(gn, rel=1e-12)
 
     def test_underdetermined_flagged(self):
         # N < n: interpolation generically infeasible, gradient cannot vanish.
@@ -195,27 +194,27 @@ class TestSolveDual:
 
 
 class TestPrimalFromDual:
+    """The primal that solve_dual recovers on its converged exit."""
+
     def test_representer_form(self):
         for p in (1.2, 1.5, 2.0):
             pen = PenaltySpec.pnorm(p)
             Phi, y = _random_problem(10, 60, 4, seed=12)
             sol = solve_dual(Phi, y, pen)
-            prim = primal_from_dual(Phi, pen, sol)
-            np.testing.assert_array_equal(prim.a, np.asarray(link_s(pen, Phi.T @ sol.lambda_hat)))
-            assert prim.residual == sol.grad_norm
+            assert sol.converged
+            np.testing.assert_array_equal(sol.a, np.asarray(link_s(pen, Phi.T @ sol.lambda_hat)))
+            assert sol.objective_primal == float(np.sum(rho(pen, sol.a)))
+            assert sol.residual == sol.trace[-1][2]
 
     def test_values_from_hand_example(self):
         sol = solve_dual(np.array([[1.0, 3.0]]), np.array([2.0]), P2)
-        prim = primal_from_dual(np.array([[1.0, 3.0]]), P2, sol)
-        np.testing.assert_allclose(prim.a, [0.4, 1.2], atol=1e-8)
+        np.testing.assert_allclose(sol.a, [0.4, 1.2], atol=1e-8)
 
     def test_zero_dual_gives_zero_primal(self):
-        sol = DualSolution(
-            lambda_hat=np.zeros(3), grad_norm=0.0, objective=0.0, iters=0,
-            trace=[], status=STATUS_CONVERGED,
-        )
-        prim = primal_from_dual(np.ones((3, 5)), P2, sol)
-        np.testing.assert_array_equal(prim.a, np.zeros(5))
+        sol = solve_dual(np.ones((3, 5)), np.zeros(3), P2)
+        assert sol.converged and sol.iters == 0
+        np.testing.assert_array_equal(sol.lambda_hat, np.zeros(3))
+        np.testing.assert_array_equal(sol.a, np.zeros(5))
 
     def test_strong_duality(self):
         # sum_j rho(a_j) = N * F(lambda_hat) at the optimum (conjugate-pair
@@ -224,17 +223,9 @@ class TestPrimalFromDual:
             pen = PenaltySpec.pnorm(p)
             Phi, y = _random_problem(12, 60, 5, seed=13)
             sol = solve_dual(Phi, y, pen)
-            prim = primal_from_dual(Phi, pen, sol)
             N = Phi.shape[1]
-            gap = abs(prim.objective_primal - N * sol.objective)
-            assert gap <= 1e-6 * N * (1 + abs(sol.objective))
-
-    def test_warns_when_not_converged(self):
-        Phi, y = _random_problem(20, 5, 6, seed=10)
-        sol = solve_dual(Phi, y, P2, SolverOptions(max_iters=5))
-        with pytest.warns(NotConvergedWarning):
-            prim = primal_from_dual(Phi, P2, sol)
-        assert prim.status == sol.status == STATUS_INFEASIBLE
+            gap = abs(sol.objective_primal - N * sol.objective_dual)
+            assert gap <= 1e-6 * N * (1 + abs(sol.objective_dual))
 
 
 def _l1_bruteforce(Phi, y, tol=1e-9):
@@ -494,11 +485,42 @@ class TestInitialPoint:
             assert f >= dual_objective(Phi, y, pen, factor * lam)
 
 
+# (p, N, solver options, status) on _random_problem(20, N, 6, seed=10).
+RECORD_CASES = {
+    "converged p=1": (1.0, 50, None, STATUS_CONVERGED),
+    "converged p>1": (1.5, 50, None, STATUS_CONVERGED),
+    "infeasible p=1": (1.0, 5, None, STATUS_INFEASIBLE),
+    "infeasible p>1": (1.5, 5, None, STATUS_INFEASIBLE),
+    "max_iters": (1.5, 50, SolverOptions(max_iters=1), STATUS_MAX_ITERS),
+}
+
+
 class TestFit:
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_one_record_for_every_path_and_status(self, case):
+        # a is set iff the solve converged, the dual fields iff p > 1, and
+        # fit returns the record of the path behind it unchanged.
+        p, N, opts, status = RECORD_CASES[case]
+        pen = PenaltySpec.pnorm(p)
+        Phi, y = _random_problem(20, N, 6, seed=10)
+        res = fit(Phi, y, pen, opts)
+        assert res.status == status and res.converged == (status == STATUS_CONVERGED)
+        assert (res.a is None) == (not res.converged)
+        assert (res.lambda_hat is None) == (p == 1.0)
+        if p == 1.0:
+            assert res.objective_dual is None and res.trace == []
+            if status == STATUS_INFEASIBLE:
+                with pytest.raises(Infeasible):
+                    solve_l1(Phi, y)
+                return
+        path = solve_l1(Phi, y) if p == 1.0 else solve_dual(Phi, y, pen, opts)
+        for f in dataclasses.fields(Solution):
+            np.testing.assert_array_equal(getattr(res, f.name), getattr(path, f.name), f.name)
+
     def test_l1_matches_solve_l1(self):
         Phi, y = _random_problem(10, 50, 4, seed=16)
         res = fit(Phi, y, PenaltySpec.pnorm(1.0))
-        assert res.status == STATUS_CONVERGED and res.iters == 0 and res.dual is None
+        assert res.status == STATUS_CONVERGED and res.iters == 0 and res.lambda_hat is None
         np.testing.assert_array_equal(res.a, solve_l1(Phi, y).a)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -508,8 +530,8 @@ class TestFit:
         sol = solve_dual(Phi, y, pen)
         res = fit(Phi, y, pen)
         assert res.status == STATUS_CONVERGED and res.iters == sol.iters
-        np.testing.assert_array_equal(res.a, primal_from_dual(Phi, pen, sol).a)
-        np.testing.assert_array_equal(res.dual.lambda_hat, sol.lambda_hat)
+        np.testing.assert_array_equal(res.a, np.asarray(link_s(pen, Phi.T @ sol.lambda_hat)))
+        np.testing.assert_array_equal(res.lambda_hat, sol.lambda_hat)
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_infeasible_is_a_status(self, p):
@@ -520,11 +542,9 @@ class TestFit:
 
     def test_max_iters_passes_through(self):
         Phi, y = _random_problem(30, 120, 8, seed=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NotConvergedWarning)
-            res = fit(Phi, y, PenaltySpec.pnorm(1.2), SolverOptions(max_iters=1))
+        res = fit(Phi, y, PenaltySpec.pnorm(1.2), SolverOptions(max_iters=1))
         assert res.status == STATUS_MAX_ITERS and res.iters == 1
-        assert res.a is None and res.residual == res.dual.grad_norm > 0
+        assert res.a is None and res.residual == res.trace[-1][2] > 0
 
     @pytest.mark.parametrize("seed, N", itertools.product([0, 1, 2], [64, 256, 512]))
     def test_custom_penalty_matches_its_pnorm(self, seed, N):
@@ -598,4 +618,4 @@ class TestNewtonDirection:
         assert sol.iters > 0 and directions and all(directions)
         pen = PenaltySpec.pnorm(1.5)
         start = solver._initial_point(Phi, y, pen, solver._range_split(Phi, y)[0])
-        assert sol.objective > dual_objective(Phi, y, pen, start)
+        assert sol.objective_dual > dual_objective(Phi, y, pen, start)
