@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -262,10 +262,22 @@ def _closed_form_method(spec: FeatureSpec) -> str:
 
 
 def _map_seeds(fn, seeds: list[int], threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, seeds))
-    return [fn(s) for s in seeds]
+    """[fn(s) for s in seeds], run on `threads` threads when threads > 1.
+
+    The first seed to raise, whatever its place in `seeds`, cancels the seeds
+    still queued; its error propagates once the running seeds return.
+    """
+    if threads <= 1:
+        return [fn(s) for s in seeds]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        futures = [ex.submit(fn, s) for s in seeds]
+        try:
+            for f in as_completed(futures):
+                f.result()
+        except BaseException:
+            ex.shutdown(cancel_futures=True)
+            raise
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -481,6 +482,34 @@ class TestSweepEngine:
         assert len(res.rows) == 12 and all(r.converged for r in res.rows)
         assert draws == {12: 2, 1_000: 2}
         assert targets == {12: 2, 1_000: 2}
+
+
+class TestMapSeeds:
+    @pytest.mark.parametrize("failing, head_sleep", [(0, 0.05), (1, 0.5)])
+    def test_first_failure_cancels_queued_seeds(self, failing, head_sleep):
+        # One seed raises at once; the others sleep and record that they
+        # started.  With (1, 0.5) the failure comes while seed 0 still runs,
+        # and it must not wait for seed 0 before the queue is cancelled.
+        started = []
+
+        def per_seed(seed):
+            started.append(seed)
+            if seed == failing:
+                raise NumericalFailure(f"seed {seed} failed")
+            time.sleep(head_sleep if seed == 0 else 0.05)
+            return seed
+
+        with pytest.raises(NumericalFailure, match=f"seed {failing} failed"):
+            experiments._map_seeds(per_seed, list(range(20)), threads=2)
+        assert len(started) <= 4
+
+    def test_results_keep_seed_order(self):
+        # Seeds finish in reverse order; results still follow `seeds`.
+        def per_seed(seed):
+            time.sleep(0.01 * (5 - seed))
+            return seed * seed
+
+        assert experiments._map_seeds(per_seed, list(range(6)), threads=2) == [0, 1, 4, 9, 16, 25]
 
 
 class TestAudit:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning, linprog
 
 import mci.solver as solver
 from mci.errors import Infeasible
@@ -284,16 +286,63 @@ class TestSolveL1:
         assert prim.objective_primal <= np.sum(np.abs(a_dual)) + 1e-8
 
     @staticmethod
-    def _wrap_linprog(monkeypatch, change):
-        """Every linprog result passes through change(res) before solve_l1 sees it."""
+    def _wrap_linprog(monkeypatch, change=lambda res: None):
+        """Every linprog result passes through change(res) before solve_l1 sees it.
+
+        Returns the list of (args, kwargs) of the calls made.
+        """
         linprog = solver.linprog
+        calls = []
 
         def wrapped(*args, **kwargs):
+            calls.append((args, kwargs))
             res = linprog(*args, **kwargs)
             change(res)
             return res
 
         monkeypatch.setattr(solver, "linprog", wrapped)
+        return calls
+
+    @staticmethod
+    def _with_presolve(call):
+        """The same linprog call with HiGHS presolve on: the path solve_l1 replaced."""
+        args, kwargs = call
+        res = linprog(*args, **{**kwargs, "options": {**kwargs["options"], "presolve": True}})
+        N = res.x.size // 2
+        return res.x[:N] - res.x[N:]
+
+    def test_presolve_is_off(self, monkeypatch):
+        calls = self._wrap_linprog(monkeypatch)
+        solve_l1(*_random_problem(10, 50, 4, seed=16))
+        assert len(calls) == 1 and calls[0][1]["options"]["presolve"] is False
+
+    @pytest.mark.parametrize("n, N, d, seed", [(10, 50, 4, 16), (150, 512, 30, 0)])
+    def test_same_vertex_as_with_presolve(self, monkeypatch, n, N, d, seed):
+        # Presolve reduces nothing on [Phi, -Phi] / N, so the simplex takes
+        # the same pivots to the same vertex.
+        calls = self._wrap_linprog(monkeypatch)
+        a = solve_l1(*_random_problem(n, N, d, seed)).a
+        np.testing.assert_array_equal(a, self._with_presolve(calls[0]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_rows_without_presolve(self, monkeypatch, seed):
+        # Phi of rank 5 < n = 12: presolve would drop the 7 dependent rows;
+        # without it the simplex keeps them and reaches the same optimum.
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((12, 5)) @ rng.standard_normal((5, 64))
+        y = Phi @ rng.standard_normal(64) / 64
+        calls = self._wrap_linprog(monkeypatch)
+        prim = solve_l1(Phi, y)
+        assert prim.converged and np.count_nonzero(prim.a) <= 5
+        on = np.sum(np.abs(self._with_presolve(calls[0])))
+        assert prim.objective_primal == pytest.approx(on, rel=1e-12)
+
+    def test_highs_accepts_every_option(self):
+        # scipy passes an unknown HiGHS option to the solver with only a
+        # warning, so a misspelt option name would otherwise go unnoticed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizeWarning)
+            solve_l1(*_random_problem(10, 50, 4, seed=16))
 
     def test_polish_restores_a_perturbed_vertex(self, monkeypatch):
         # A vertex off by 1e-6 relative (zeros and signs kept) misses the
