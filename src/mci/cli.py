@@ -3,8 +3,9 @@
 Subcommands: `mci solve | fig1 | scaling | latent | audit`.  A JSON config
 file supplies any subset of the experiment fields; `--set key=value` overrides
 individual entries (nested solver options as `solver.max_iters=100`).  Exit
-codes: 0 on success, 2 when any row-level solve failed (results are still
-written), 1 on a fatal error.
+codes: 0 on success, 2 when any row-level solve failed or an audit's
+event-budget solve did not converge (results are still written), 1 on a fatal
+error.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    N = args.N or cfg.N_list[-1]
+    N = cfg.N_list[-1] if args.N is None else args.N
     spec, ds = cfg.feature_spec(), cfg.data_spec()
     inst = sample_data(ds, cfg.n, seed)
     W = sample_weights(spec, cfg.d, N, seed)
@@ -120,11 +121,14 @@ def _cmd_solve(args) -> int:
         "N": N,
         "seed": seed,
     }
-
-    if args.out is not None:
-        out = Path(args.out)
+    # Strict JSON: a non-finite number prints as null, as a key that does not apply.
+    summary = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+               for k, v in summary.items()}
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    if cfg.output_path:
+        out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "solve.json").write_text(json.dumps(summary, indent=2))
+        (out / "solve.json").write_text(text)
         if args.dump_matrices:
             save_matrix_csv(out / "X.csv", inst.X)
             save_matrix_csv(out / "y.csv", inst.y)
@@ -134,7 +138,7 @@ def _cmd_solve(args) -> int:
                 save_matrix_csv(out / "a.csv", res.a)
             if res.lambda_hat is not None:
                 save_matrix_csv(out / "lambda.csv", res.lambda_hat)
-    print(json.dumps(summary, indent=2))
+    print(text)
     return 0 if summary["converged"] else 2
 
 
@@ -156,7 +160,7 @@ def _cmd_audit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "audit.json").write_text(json.dumps(doc, indent=2, default=str))
     print(json.dumps(doc, indent=2, default=str))
-    return 0
+    return 2 if "error" in doc.get("event_budget", {}) else 0
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,10 @@
 Malformed or out-of-range input (an argument, a config field, a results file)
 raises the built-in ValueError.  The classes below name the outcomes that a
 well-formed input can still end in, and exist because some caller tells them
-apart: the CLI reports any MciError, and `solver.fit` turns Infeasible into a
-row status.
+apart: the CLI reports any MciError.  A solve reports every outcome of
+well-formed input as a status, so nothing raises Infeasible; the class stays
+because the benchmark's tracer (perfbench/layertrace.py) looks it up when it
+installs.
 """
 
 
@@ -24,4 +26,4 @@ class NotConverged(MciError):
 
 
 class Infeasible(MciError):
-    """The interpolation constraints admit no solution."""
+    """The interpolation constraints admit no solution (not raised; see above)."""

@@ -10,8 +10,9 @@ residual, so convergence is measured on the gradient alone.  A damped Newton
 ascent with Armijo backtracking handles all p > 1; the l1 case is a linear
 program over the split a = a+ - a-.  Both first take one eigendecomposition
 of the Gram matrix G = Phi Phi^T / N, which tests y against range(Phi) at
-every width and gives the Newton start G^+ y.  Either path returns one
-`Solution` record whose status is one of the STATUS_* strings; `fit` runs
+every width and gives the Newton start G^+ y.  For every outcome of
+well-formed input either path returns one `Solution` record whose status is
+one of the STATUS_* strings (only bad input raises ValueError); `fit` runs
 whichever path applies.
 """
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import Infeasible
 from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
 
 STATUS_CONVERGED = "converged"
@@ -71,7 +71,8 @@ class Solution:
     `a` is set only when the solve converged; otherwise it is None and
     `objective_primal` is nan.  `residual` is ||(1/N) Phi a - y||_2 for the l1
     program and the dual gradient norm for p > 1, which is the same
-    interpolation residual.  The dual fields are None or empty for p = 1.
+    interpolation residual; an infeasible record (iters 0) holds the distance
+    that failed the tolerance.  The dual fields are None or empty for p = 1.
     """
 
     status: str
@@ -183,9 +184,10 @@ def solve_dual(
     range(Phi), so its norm never falls below dist(y, range Phi), which
     `_range_split` measures at every width before any Newton work.  When it
     exceeds the tolerance the problem is certified infeasible and the
-    record has status "infeasible", iters=0 and, as lambda_hat, the unit
-    Farkas direction v (Phi^T v ~ 0, <v, y> = dist(y, range Phi) > 0), along
-    which the dual objective grows without bound.
+    record has status "infeasible", iters=0, that distance as `residual` and,
+    as lambda_hat, the unit Farkas direction v (Phi^T v ~ 0,
+    <v, y> = dist(y, range Phi) > 0), along which the dual objective grows
+    without bound; its one trace entry holds objective_dual = <v, y>.
     """
     if pen.is_l1:
         raise ValueError("solve_dual does not handle p=1; use solve_l1")
@@ -199,9 +201,8 @@ def solve_dual(
     dist = float(np.linalg.norm(r))
     if dist > tol:
         farkas = r / dist
-        obj = dual_objective(Phi, y, pen, farkas)
-        gn = float(np.linalg.norm(dual_gradient(Phi, y, pen, farkas)))
-        return Solution(STATUS_INFEASIBLE, None, math.nan, gn, 0, farkas, obj, [(0, obj, gn, 0.0)])
+        obj = float(farkas @ y)
+        return Solution(STATUS_INFEASIBLE, None, math.nan, dist, 0, farkas, obj, [(0, obj, dist, 0.0)])
 
     lam = _initial_point(Phi, y, pen, lam0)
     obj = dual_objective(Phi, y, pen, lam)
@@ -286,10 +287,11 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
     Split a = a+ - a- with a-, a+ >= 0 and solve with the HiGHS dual simplex,
     which returns a vertex: at most n coordinates of the optimum are active.
     y is first tested against range(Phi) (`_range_split`): when its distance
-    from it exceeds the residual tolerance, no solution can be accepted and
-    Infeasible is raised without building the program.  A vertex whose
-    residual misses the tolerance is re-solved on its support before
-    Infeasible is raised.
+    from it exceeds the residual tolerance, the status is "infeasible" with
+    that distance as `residual`, and no program is built.  A vertex whose
+    residual misses the tolerance is re-solved on its support, and is
+    "infeasible" with its residual if it still misses; a failed `linprog`
+    call is "infeasible" with a nan residual.
 
     HiGHS presolve is off.  On the dense [Phi, -Phi] / N it reports "Not
     reduced", and its search for dependent equations repeats what
@@ -302,8 +304,9 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
     _check_dims(Phi, y)
     N = Phi.shape[1]
     tol = L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
-    if np.linalg.norm(_range_split(Phi, y)[1]) > tol:
-        raise Infeasible("the l1 interpolation constraints admit no solution")
+    dist = float(np.linalg.norm(_range_split(Phi, y)[1]))
+    if dist > tol:
+        return Solution(STATUS_INFEASIBLE, None, math.nan, dist)
     A_eq = np.hstack([Phi, -Phi]) / N
     c = np.ones(2 * N)
     res = linprog(
@@ -318,10 +321,8 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
             "dual_feasibility_tolerance": 1e-10,
         },
     )
-    if res.status == 2 or res.x is None:
-        raise Infeasible("the l1 interpolation constraints admit no solution")
     if not res.success:
-        raise Infeasible(f"linear program failed: {res.message}")
+        return Solution(STATUS_INFEASIBLE, None, math.nan, math.nan)
     a = res.x[:N] - res.x[N:]
     residual = float(np.linalg.norm(Phi @ a / N - y))
     if residual > tol:
@@ -334,7 +335,7 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
             a[S] = a_S
             residual = float(np.linalg.norm(Phi @ a / N - y))
     if residual > tol:
-        raise Infeasible(f"l1 solution violates the constraints (residual {residual:.3e})")
+        return Solution(STATUS_INFEASIBLE, None, math.nan, residual)
     return Solution(STATUS_CONVERGED, a, float(np.sum(np.abs(a))), residual)
 
 
@@ -344,13 +345,7 @@ def fit(
     """Minimum-complexity interpolant for any p: the l1 program when p = 1,
     else the dual solve.
 
-    Every outcome is a status (converged, infeasible, max_iters or
-    line_search_failed); an Infeasible from the l1 program becomes status
-    "infeasible" with iters 0 and a nan residual.
+    Both paths return the same record for every outcome (converged,
+    infeasible, max_iters or line_search_failed), so fit passes it on.
     """
-    if not pen.is_l1:
-        return solve_dual(Phi, y, pen, opts)
-    try:
-        return solve_l1(Phi, y)
-    except Infeasible:
-        return Solution(STATUS_INFEASIBLE, None, math.nan, math.nan)
+    return solve_l1(Phi, y) if pen.is_l1 else solve_dual(Phi, y, pen, opts)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mci.audit as audit
 from mci.audit import (
     SolvedModel,
     _lambda_grid,
@@ -28,6 +29,7 @@ from mci.features import (
     whiten,
 )
 from mci.penalty import PenaltySpec
+from mci.seeding import rng_from
 from mci.solver import STATUS_MAX_ITERS, SolverOptions, solve_dual
 
 
@@ -233,6 +235,35 @@ class TestAssumptionReport:
         assert 0.0 <= rep.eta_hat <= 1.0
         assert rep.lipschitz_tail["scale"] is not None
         assert all(np.isfinite(v) for v in rep.feat3_prime_moments.values())
+
+    def test_matches_per_probe_projections(self, monkeypatch):
+        # The report forms every projection in two products; the reference
+        # forms them one probe at a time, the coordinate axes as products with
+        # the identity.  Only the summation order differs.
+        spec = FeatureSpec(activation="relu")
+        ds = DataSpec(d=5, target=RidgeTarget.random(5, 1))
+        inst = sample_data(ds, 15, seed=4)
+        oracle = kernel_matrix(spec, inst.X, method="arc_cosine")
+        samples, whitened = [], []
+        proxy, smallball = audit.subgaussian_proxy, audit.smallball_estimate
+        monkeypatch.setattr(audit, "subgaussian_proxy", lambda x: samples.append(x) or proxy(x))
+        monkeypatch.setattr(audit, "smallball_estimate",
+                            lambda Psi, *args: whitened.append(Psi) or smallball(Psi, *args))
+        rep = assumption_report(spec, inst, oracle, n_samples=20_000, eta=0.1, seed=5)
+
+        Psi = whitened[0]
+        dirs = rng_from(5, "directions", 1).standard_normal((64, inst.n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        directional = samples[inst.n : inst.n + 64]  # after the n mean-feature rows
+        for got, v in zip(directional, dirs):
+            np.testing.assert_allclose(got, Psi @ v, rtol=1e-12, atol=1e-12)
+        probe = np.vstack([np.eye(inst.n), dirs])
+        eta_hat = float(np.min(np.quantile(np.abs(Psi @ probe.T), 0.25, axis=0)))
+        assert rep.eta_hat == pytest.approx(eta_hat, rel=1e-12)
+        with np.errstate(divide="ignore"):
+            for r, got in rep.feat3_prime_moments.items():
+                want = float(np.max(np.mean(np.abs(Psi @ probe.T) ** r, axis=0)))
+                assert got == pytest.approx(want, rel=1e-8)
 
 
 class TestRateBudget:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mci.cli import main
@@ -39,6 +40,50 @@ def test_solve_infeasible_is_a_status(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["status"] == "infeasible" and not out["converged"] and out["iters"] == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("p", ["1", "1.5"])
+def test_solve_prints_strict_json(tmp_path, capsys, p):
+    # N < n: no interpolant, so the primal objective is null and the residual
+    # is dist(y, range Phi), read back from the dumped matrices.
+    cfg = _write_config(tmp_path, d=5, n=16, N_list=[8], seeds=[0])
+    out_dir = tmp_path / "dump"
+    code = main(["solve", "--config", str(cfg), "--p", p, "--out", str(out_dir), "--dump-matrices"])
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2 and out["status"] == "infeasible" and out["objective_primal"] is None
+    assert json.loads((out_dir / "solve.json").read_text(), parse_constant=_reject_constant) == out
+    Phi = np.loadtxt(out_dir / "Phi.csv", delimiter=",")
+    y = np.loadtxt(out_dir / "y.csv", delimiter=",")
+    Q, _ = np.linalg.qr(Phi)
+    assert out["residual"] == pytest.approx(np.linalg.norm(y - Q @ (Q.T @ y)), rel=1e-10)
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_solve_writes_under_output_path(tmp_path, capsys, source):
+    # --set output_path and a config file's output_path work as --out does.
+    out_dir = tmp_path / "solve_out"
+    fields = dict(d=5, n=12, N_list=[32], seeds=[0])
+    if source == "config":
+        fields["output_path"] = str(out_dir)
+    cfg = _write_config(tmp_path, **fields)
+    argv = ["solve", "--config", str(cfg)]
+    if source == "set":
+        argv += ["--set", f"output_path={out_dir}"]
+    code = main(argv)
+    assert code == 0
+    assert json.loads((out_dir / "solve.json").read_text()) == json.loads(capsys.readouterr().out)
+
+
+def test_solve_zero_width_exit_code(tmp_path, capsys):
+    # --N 0 is a bad width, not a request for the widest one.
+    cfg = _write_config(tmp_path, d=5, n=12, N_list=[32], seeds=[0])
+    code = main(["solve", "--config", str(cfg), "--N", "0"])
+    assert code == 1
+    assert "N=0" in capsys.readouterr().err
 
 
 def test_solve_dump_matrices(tmp_path, capsys):
@@ -113,6 +158,20 @@ def test_audit_writes_json(tmp_path, capsys):
     assert code == 0
     doc = json.loads((out_dir / "audit.json").read_text())
     assert "hermite" in doc and "event_budget" in doc
+
+
+def test_audit_unconverged_event_budget_exit_code(tmp_path, capsys):
+    # One Newton iteration cannot converge: audit.json is still written, with
+    # the reason in event_budget, and the exit code is 2.
+    cfg = _write_config(
+        tmp_path, d=5, n=12, p_list=[1.5], N_list=[256], seeds=[0], M_test=1_000, N_ref=1024,
+        m_max=8, quad_order=60, solver={"max_iters": 1},
+    )
+    out_dir = tmp_path / "audit_out"
+    code = main(["audit", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    doc = json.loads((out_dir / "audit.json").read_text())
+    assert "max_iters" in doc["event_budget"]["error"]
 
 
 def test_too_few_test_points_exit_code(tmp_path, capsys):

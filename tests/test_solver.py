@@ -9,7 +9,6 @@ import pytest
 from scipy.optimize import OptimizeWarning, linprog
 
 import mci.solver as solver
-from mci.errors import Infeasible
 from mci.features import DataSpec, FeatureSpec, RidgeTarget, featurize, sample_data, sample_weights
 from mci.penalty import PenaltySpec, link_s, rho
 from mci.solver import (
@@ -366,13 +365,29 @@ class TestSolveL1:
         Phi, y = _random_problem(10, 50, 4, seed=16)
         N = Phi.shape[1]
 
+        flipped = []
+
         def flip(res):
             j = int(np.flatnonzero(res.x[:N] - res.x[N:])[0])
             res.x[j], res.x[N + j] = res.x[N + j], res.x[j]
+            flipped.append(res.x[:N] - res.x[N:])
 
         self._wrap_linprog(monkeypatch, flip)
-        with pytest.raises(Infeasible, match="violates the constraints"):
-            solve_l1(Phi, y)
+        prim = solve_l1(Phi, y)
+        vertex_residual = np.linalg.norm(Phi @ flipped[0] / N - y)
+        assert vertex_residual > L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
+        assert prim.status == STATUS_INFEASIBLE and prim.iters == 0 and prim.a is None
+        assert prim.residual == vertex_residual and np.isnan(prim.objective_primal)
+
+    def test_failed_program_is_infeasible(self, monkeypatch):
+        # A linprog call without an optimum leaves no residual to report.
+        def fail(res):
+            res.success = False
+
+        self._wrap_linprog(monkeypatch, fail)
+        prim = solve_l1(*_random_problem(10, 50, 4, seed=16))
+        assert prim.status == STATUS_INFEASIBLE and prim.iters == 0 and prim.a is None
+        assert np.isnan(prim.residual) and np.isnan(prim.objective_primal)
 
     def test_vertex_within_tolerance_is_kept(self, monkeypatch):
         # A vertex that meets the tolerance is returned bitwise, unpolished.
@@ -427,6 +442,8 @@ class TestInfeasibilityCertificate:
         assert np.linalg.norm(Phi.T @ v) <= 1e-10 * np.linalg.norm(Phi)
         assert v @ y == pytest.approx(_range_distance(Phi, y), rel=1e-10)
         assert v @ y > 0
+        assert sol.objective_dual == v @ y
+        assert sol.trace == [(0, sol.objective_dual, sol.residual, 0.0)]
 
     def test_certificate_runs_before_any_newton_work(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -457,8 +474,17 @@ class TestInfeasibilityCertificate:
 
         monkeypatch.setattr(solver, "linprog", fail)
         Phi, y = _random_problem(20, 5, 6, seed=10)
-        with pytest.raises(Infeasible, match="admit no solution"):
-            solve_l1(Phi, y)
+        prim = solve_l1(Phi, y)
+        assert prim.status == STATUS_INFEASIBLE and prim.iters == 0 and prim.a is None
+        assert prim.residual == pytest.approx(_range_distance(Phi, y), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_infeasible_residual_is_the_range_distance(self, p):
+        # Both paths report the distance that failed the tolerance.
+        Phi, y = _random_problem(20, 5, 6, seed=10)
+        res = fit(Phi, y, PenaltySpec.pnorm(p))
+        assert res.status == STATUS_INFEASIBLE
+        assert res.residual == pytest.approx(_range_distance(Phi, y), rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_rank_deficient_wide_row_is_infeasible(self, p):
@@ -558,10 +584,6 @@ class TestFit:
         assert (res.lambda_hat is None) == (p == 1.0)
         if p == 1.0:
             assert res.objective_dual is None and res.trace == []
-            if status == STATUS_INFEASIBLE:
-                with pytest.raises(Infeasible):
-                    solve_l1(Phi, y)
-                return
         path = solve_l1(Phi, y) if p == 1.0 else solve_dual(Phi, y, pen, opts)
         for f in dataclasses.fields(Solution):
             np.testing.assert_array_equal(getattr(res, f.name), getattr(path, f.name), f.name)
