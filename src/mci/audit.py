@@ -22,6 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+# numpy loads numpy.polynomial on first use; imported here, it loads with the
+# package instead of in the middle of the first audit.
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
+
 from .errors import NotConverged, NumericalFailure
 from .features import (
     IDENTITY,
@@ -95,7 +100,7 @@ def _gauss_nodes(activation: Activation, quad_order: int, m_max: int):
     """
     kinks = _KINKS.get(activation, ()) if not callable(activation) else ()
     if not kinks:
-        x, w = np.polynomial.hermite_e.hermegauss(quad_order)
+        x, w = hermegauss(quad_order)
         return x, w / np.sqrt(2.0 * np.pi)
     # Range where |x|^m_max exp(-x^2/2) is below ~1e-18.
     R = math.sqrt(2.0 * (45.0 + m_max * math.log(m_max + 2.0)))
@@ -106,7 +111,7 @@ def _gauss_nodes(activation: Activation, quad_order: int, m_max: int):
     panels = np.unique(np.asarray(panels))
     # Per-panel order must track the polynomial degree being integrated.
     per_panel = max(24, m_max + 12, quad_order // max(1, len(panels) - 1))
-    t, u = np.polynomial.legendre.leggauss(per_panel)
+    t, u = leggauss(per_panel)
     xs, ws = [], []
     for lo, hi in zip(panels[:-1], panels[1:]):
         half = 0.5 * (hi - lo)

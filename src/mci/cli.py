@@ -28,6 +28,7 @@ from .experiments import (
     SOLVE,
     ExperimentConfig,
     ExperimentResult,
+    finite_or_null,
     persist,
     run_audit,
     run_fig1,
@@ -115,16 +116,13 @@ def _cmd_solve(args) -> int:
         "residual": res.residual,
         "support": None if res.a is None else int(np.sum(res.a != 0)),
         "objective_dual": res.objective_dual,
-        "grad_norm": None if res.lambda_hat is None else res.residual,
         "wall_ms": wall_ms,
         "n": cfg.n,
         "N": N,
         "seed": seed,
     }
     # Strict JSON: a non-finite number prints as null, as a key that does not apply.
-    summary = {k: None if isinstance(v, float) and not np.isfinite(v) else v
-               for k, v in summary.items()}
-    text = json.dumps(summary, indent=2, allow_nan=False)
+    text = json.dumps(finite_or_null(summary), indent=2, allow_nan=False)
     if cfg.output_path:
         out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
@@ -148,8 +146,9 @@ def _cmd_experiment(args, experiment: str) -> int:
     result: ExperimentResult = runner(cfg)
     out = Path(cfg.output_path) if cfg.output_path else Path(f"mci_{experiment}_out")
     persist(result, out)
-    print(json.dumps({"rows": len(result.rows), "out": str(out),
-                      "aggregates": result.aggregates}, indent=2, default=str))
+    print(json.dumps(finite_or_null({"rows": len(result.rows), "out": str(out),
+                                     "aggregates": result.aggregates}),
+                     indent=2, default=str, allow_nan=False))
     return 2 if result.any_row_failed else 0
 
 

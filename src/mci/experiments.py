@@ -477,8 +477,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def finite_or_null(value):
+    """`value` with every non-finite float, at any depth, replaced by None:
+    strict JSON has no NaN or Infinity, so they are written as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_or_null(v) for v in value]
+    return value
+
+
 def persist(result: ExperimentResult, out_dir) -> Path:
-    """Write rows.csv and summary.json under `out_dir`; returns the directory."""
+    """Write rows.csv and summary.json (strict JSON: nan is null) under
+    `out_dir`; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "rows.csv", "w") as fh:
@@ -491,7 +504,7 @@ def persist(result: ExperimentResult, out_dir) -> Path:
         "extras": result.extras,
     }
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=str)
+        json.dump(finite_or_null(summary), fh, indent=2, default=str, allow_nan=False)
     return out
 
 
@@ -504,7 +517,11 @@ def _parse_row(parts: list[str]) -> Row:
 
 
 def load(path) -> ExperimentResult:
-    """Load a persisted run (a directory with rows.csv, or a bare CSV file)."""
+    """Load a persisted run (a directory with rows.csv, or a bare CSV file).
+
+    The aggregates are recomputed from the rows, so a nan mean that
+    summary.json holds as null loads back as nan.
+    """
     path = Path(path)
     csv_path = path / "rows.csv" if path.is_dir() else path
     with open(csv_path) as fh:
@@ -522,12 +539,10 @@ def load(path) -> ExperimentResult:
             rows.append(_parse_row(parts))
     config: dict = {}
     extras: dict = {}
-    aggregates = aggregate(rows)
     summary_path = (path if path.is_dir() else path.parent) / "summary.json"
     if summary_path.exists():
         with open(summary_path) as fh:
             summary = json.load(fh)
         config = summary.get("config", {})
         extras = summary.get("extras", {})
-        aggregates = summary.get("aggregates", aggregates)
-    return ExperimentResult(rows=rows, aggregates=aggregates, config=config, extras=extras)
+    return ExperimentResult(rows=rows, aggregates=aggregate(rows), config=config, extras=extras)

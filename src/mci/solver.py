@@ -7,10 +7,11 @@ is solved through its n-dimensional concave dual
 
 whose gradient y - (1/N) Phi s(Phi^T lambda) is exactly the interpolation
 residual, so convergence is measured on the gradient alone.  A damped Newton
-ascent with Armijo backtracking handles all p > 1; the l1 case is a linear
-program over the split a = a+ - a-.  Both first take one eigendecomposition
-of the Gram matrix G = Phi Phi^T / N, which tests y against range(Phi) at
-every width and gives the Newton start G^+ y.  For every outcome of
+ascent with Armijo backtracking handles all p > 1; the l1 case (basis
+pursuit, a linear program) follows the lasso homotopy to its end, in numpy
+alone.  Both first take one eigendecomposition of the Gram matrix
+G = Phi Phi^T / N, which tests y against range(Phi) at every width and gives
+the Newton start G^+ y and the rank of Phi.  For every outcome of
 well-formed input either path returns one `Solution` record whose status is
 one of the STATUS_* strings (only bad input raises ValueError); `fit` runs
 whichever path applies.
@@ -23,7 +24,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
 
@@ -33,6 +33,19 @@ STATUS_LINE_SEARCH_FAILED = "line_search_failed"
 STATUS_INFEASIBLE = "infeasible"
 
 L1_RESIDUAL_RTOL = 1e-8
+
+# The l1 homotopy: its step cap per row of Phi (n = 150 takes 290-470 steps),
+# the steps between exact refreshes of its running state and the tie margin
+# at the end of the path (relative to the starting tau).  A column joins only
+# when its squared distance from the support's span exceeds
+# HOMOTOPY_DEPENDENT_RTOL times its squared norm (every join on the fig1 grid
+# and the N_ref references cleared 5.7e-7).  The end point is certified when
+# its duality gap is at most L1_GAP_RTOL times ||a||_1.
+HOMOTOPY_STEPS_PER_ROW = 20
+HOMOTOPY_REFRESH = 32
+HOMOTOPY_TIE_RTOL = 1e-12
+HOMOTOPY_DEPENDENT_RTOL = 1e-10
+L1_GAP_RTOL = 1e-9
 
 # Eigenvalues of G = Phi Phi^T / N at or below GRAM_NULL_RTOL * n * lambda_max
 # span the null space: numpy's matrix_rank rule, applied to G.
@@ -66,20 +79,21 @@ class SolverOptions:
 
 @dataclass
 class Solution:
-    """The record of one solve, by the dual Newton ascent (p > 1) or the l1 program.
+    """The record of one solve, by the dual Newton ascent (p > 1) or the l1 homotopy.
 
     `a` is set only when the solve converged; otherwise it is None and
     `objective_primal` is nan.  `residual` is ||(1/N) Phi a - y||_2 for the l1
-    program and the dual gradient norm for p > 1, which is the same
-    interpolation residual; an infeasible record (iters 0) holds the distance
-    that failed the tolerance.  The dual fields are None or empty for p = 1.
+    homotopy (at its final point, also when that point is not certified) and
+    the dual gradient norm for p > 1, which is the same interpolation
+    residual; an infeasible record (iters 0) holds the distance that failed
+    the tolerance.  The dual fields are None or empty for p = 1.
     """
 
     status: str
     a: np.ndarray | None
     objective_primal: float  # sum_j rho(a_j)
     residual: float
-    iters: int = 0  # Newton iterations; 0 for the linear program
+    iters: int = 0  # Newton iterations; 0 for the l1 homotopy
     lambda_hat: np.ndarray | None = None
     objective_dual: float | None = None
     # One (iter, objective_dual, gradient norm, step) entry per Newton iterate.
@@ -128,18 +142,20 @@ def _curvature(Phi: np.ndarray, pen: PenaltySpec, u: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def _range_split(Phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G^+ y, r) from one eigendecomposition of G = Phi Phi^T / N.
+def _range_split(Phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(G^+ y, r, rank Phi) from one eigendecomposition of G = Phi Phi^T / N.
 
     r projects y onto the null eigenvectors, so ||r|| = dist(y, range Phi), a
     floor on the residual of every fit (1/N) Phi a, and r / ||r|| is the unit
-    Farkas direction v: Phi^T v = 0 and <v, y> = ||r||.
+    Farkas direction v: Phi^T v = 0 and <v, y> = ||r||.  The rank counts the
+    eigenvalues above the null threshold.
     """
     n, N = Phi.shape
     evals, V = np.linalg.eigh(Phi @ Phi.T / N)
     null = evals <= GRAM_NULL_RTOL * n * evals[-1]
     coef = V.T @ y
-    return V[:, ~null] @ (coef[~null] / evals[~null]), V[:, null] @ coef[null]
+    lam0 = V[:, ~null] @ (coef[~null] / evals[~null])
+    return lam0, V[:, null] @ coef[null], int(n - null.sum())
 
 
 def _initial_point(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam0: np.ndarray) -> np.ndarray:
@@ -197,7 +213,7 @@ def solve_dual(
     _check_dims(Phi, y)
     tol = float(opts.tol_grad_abs + opts.tol_grad_rel * np.linalg.norm(y))
 
-    lam0, r = _range_split(Phi, y)
+    lam0, r, _ = _range_split(Phi, y)
     dist = float(np.linalg.norm(r))
     if dist > tol:
         farkas = r / dist
@@ -282,61 +298,199 @@ def _armijo(Phi, y, pen, lam, u, obj, g, direction):
 
 
 def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
-    """Minimize sum_j |a_j| subject to (1/N) Phi a = y, as a linear program.
+    """Minimize sum_j |a_j| subject to (1/N) Phi a = y by the lasso homotopy.
 
-    Split a = a+ - a- with a-, a+ >= 0 and solve with the HiGHS dual simplex,
-    which returns a vertex: at most n coordinates of the optimum are active.
     y is first tested against range(Phi) (`_range_split`): when its distance
     from it exceeds the residual tolerance, the status is "infeasible" with
-    that distance as `residual`, and no program is built.  A vertex whose
-    residual misses the tolerance is re-solved on its support, and is
-    "infeasible" with its residual if it still misses; a failed `linprog`
-    call is "infeasible" with a nan residual.
+    that distance as `residual`, and the path is never entered.  Otherwise
+    `_homotopy` follows the lasso path to tau = 0 and re-solves the final
+    support.  The result is "converged" only when the path's optimality
+    certificate holds and the residual meets the tolerance; a capped path or
+    a failed certificate is "max_iters" with the final point's residual.
+    `iters` stays 0: the path's steps are not Newton iterations.
 
-    HiGHS presolve is off.  On the dense [Phi, -Phi] / N it reports "Not
-    reduced", and its search for dependent equations repeats what
-    `_range_split` has answered.  That search took about half of each solve
-    (n = 150, N = 512: 0.26 s with presolve, 0.14 s without), and without it
-    the simplex takes the same pivots to the same vertex.
+    At most rank(Phi) coordinates of the optimum are nonzero (a vertex of the
+    linear program).  The path needs dense numpy algebra only; it replaced
+    the HiGHS dual simplex on [Phi, -Phi] / N, which it matches in support
+    and, to about 1e-11 relative, in objective.
     """
     Phi = np.asarray(Phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_dims(Phi, y)
     N = Phi.shape[1]
     tol = L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
-    dist = float(np.linalg.norm(_range_split(Phi, y)[1]))
+    _, r, rank = _range_split(Phi, y)
+    dist = float(np.linalg.norm(r))
     if dist > tol:
         return Solution(STATUS_INFEASIBLE, None, math.nan, dist)
-    A_eq = np.hstack([Phi, -Phi]) / N
-    c = np.ones(2 * N)
-    res = linprog(
-        c,
-        A_eq=A_eq,
-        b_eq=y,
-        bounds=(0, None),
-        method="highs-ds",
-        options={
-            "presolve": False,
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        return Solution(STATUS_INFEASIBLE, None, math.nan, math.nan)
-    a = res.x[:N] - res.x[N:]
+    # (1/N) Phi a = y is Phi a = N y: the path runs on Phi itself, uncopied.
+    a, certified = _homotopy(Phi, N * y, rank)
     residual = float(np.linalg.norm(Phi @ a / N - y))
-    if residual > tol:
-        # HiGHS can report an optimal vertex whose residual misses tol (4.2e-7
-        # on one 150 x 16384 reference).  Re-solved on its support S with no
-        # sign flip, the point is still certified optimal by the same dual.
-        S = np.flatnonzero(a)
-        a_S = np.linalg.pinv(Phi[:, S] / N) @ y
-        if np.array_equal(np.sign(a_S), np.sign(a[S])):
-            a[S] = a_S
-            residual = float(np.linalg.norm(Phi @ a / N - y))
-    if residual > tol:
-        return Solution(STATUS_INFEASIBLE, None, math.nan, residual)
-    return Solution(STATUS_CONVERGED, a, float(np.sum(np.abs(a))), residual)
+    if certified and residual <= tol:
+        return Solution(STATUS_CONVERGED, a, float(np.sum(np.abs(a))), residual)
+    return Solution(STATUS_MAX_ITERS, None, math.nan, residual)
+
+
+def _homotopy(B: np.ndarray, b: np.ndarray, rank: int) -> tuple[np.ndarray, bool]:
+    """The lasso path min 0.5 ||b - B a||^2 + tau ||a||_1 from tau = max|B^T b|
+    down to tau = 0, where it ends on a minimum-l1 solution of B a = b.
+
+    Returns (a, certified).  On the support S with signs sigma the path is
+    a_S(tau) = M (B_S^T b - tau sigma), M = (B_S^T B_S)^{-1}, and the
+    correlations c = B^T (b - B a) move by -v per unit of tau, v = B^T B_S d,
+    d = M sigma.  Each step lowers tau to the next event: an inactive column
+    whose |c_j| reaches tau joins, or a coefficient that reaches zero drops.
+    (Osborne, Presnell & Turlach 2000; Donoho & Tsaig 2008.)
+
+    - M is kept by O(k^2) bordering updates in preallocated buffers (the
+      last slot moves into a dropped one), d gets one step of iterative
+      refinement, and every HOMOTOPY_REFRESH steps M and c are re-formed
+      exactly; without refinement the final certificate fails on most
+      fig1-size problems.
+    - A dropped column sits on the boundary c_j = sigma_j tau: only that
+      zero root is masked, so it can rejoin with the opposite sign.
+    - The end of the path wins ties: a coefficient whose drop falls at
+      tau = 0 ends at zero, outside the final support.
+    - Joins stop at |S| = rank(B), and a column in span(B_S) (a tie, such
+      as a duplicated column) waits for the next drop: either would make
+      B_S singular.
+
+    The final segment certifies optimality by LP duality.  Its dual point
+    lambda = B_S d has B_S^T lambda = sigma, so lambda / max|v| is feasible
+    for max <b, lambda> s.t. |B^T lambda| <= 1, and <b, lambda> / max|v|
+    bounds the optimum from below.  The end point a_S, re-solved on S, is
+    certified when ||a_S||_1 exceeds that bound by at most L1_GAP_RTOL
+    relative: so it is when max|v| <= 1 + L1_GAP_RTOL and a_S keeps the
+    signs sigma, up to rounding-size coefficients of either sign where the
+    optimum has a zero.  A path capped at HOMOTOPY_STEPS_PER_ROW * n steps
+    is not certified.
+    """
+    n, N = B.shape
+    a = np.zeros(N)
+    c = B.T @ b
+    tau0 = float(np.max(np.abs(c))) if N else 0.0
+    if not tau0 > 0:
+        return a, True
+    # Both boundaries in one array: entry j is column j at c_j = +tau and
+    # entry N + j the same column at c_j = -tau.
+    c2 = np.concatenate([c, -c])
+    v2 = np.empty(2 * N)
+    roots = np.empty(2 * N)
+    blocked = np.zeros(2 * N, dtype=bool)  # both entries of every active column
+    # Slots 0..k-1 hold the support; the rest of every buffer stays zero, so
+    # the products below run on whole contiguous buffers.
+    S = np.zeros(rank, dtype=np.intp)
+    sigma = np.zeros(rank)
+    BS = np.zeros((rank, n))  # row i is column S[i] of B
+    aS = np.zeros(rank)
+    M = np.zeros((rank, rank))  # (B_S^T B_S)^{-1}
+    k = 0
+    dependent: list[int] = []  # columns kept out of the support until the next drop
+
+    def join(j: int, sign: float) -> None:
+        nonlocal k
+        col = B[:, j]
+        g = BS @ col
+        u = M @ g
+        schur = float(col @ col - g @ u)  # squared distance of col from span(B_S)
+        blocked[j] = blocked[N + j] = True
+        if not schur > HOMOTOPY_DEPENDENT_RTOL * float(col @ col):
+            # In span(B_S), col rides the boundary with the support (a tie,
+            # as for a duplicated column) and would make B_S singular.
+            dependent.append(j)
+            return
+        # einsum forms the outer product faster than np.outer's broadcast.
+        M[:] += np.einsum("i,j->ij", u, u / schur)
+        M[:, k] = M[k, :] = -u / schur
+        M[k, k] = 1.0 / schur
+        S[k], sigma[k], BS[k] = j, sign, col
+        k += 1
+
+    def drop(i: int) -> None:
+        # Eliminate slot i from M, move the last slot into it, zero the last.
+        nonlocal k
+        m = M[:, i].copy()
+        M[:] -= np.einsum("i,j->ij", m, m / m[i])
+        last = k - 1
+        for j in (S[i], *dependent):  # span(B_S) shrinks
+            blocked[j] = blocked[N + j] = False
+        dependent.clear()
+        for buf in (S, sigma, aS, BS, M):
+            buf[i] = buf[last]
+            buf[last] = 0
+        M[:, i] = M[:, last]
+        M[:, last] = 0.0
+        k = last
+
+    j0 = int(np.argmax(np.abs(c)))
+    join(j0, float(np.sign(c[j0])))  # c_j0 != 0, so column j0 is not zero
+    tau = tau0
+    ended = False
+    masked = -1  # entry of c2 at the boundary where the last drop left its column
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(HOMOTOPY_STEPS_PER_ROW * n):
+            if step and step % HOMOTOPY_REFRESH == 0:
+                M[:k, :k] = np.linalg.inv(BS[:k] @ BS[:k].T)
+                np.matmul(B.T, b - BS.T @ aS, out=c2[:N])
+                np.negative(c2[:N], out=c2[N:])
+            d = M @ sigma
+            d += M @ (sigma - BS @ (BS.T @ d))
+            np.matmul(B.T, BS.T @ d, out=v2[:N])
+            np.negative(v2[:N], out=v2[N:])
+
+            gamma, entry, slot = math.inf, -1, -1
+            if k < rank:
+                den = 1.0 - v2
+                num = tau - c2
+                np.maximum(num, 0.0, out=num)
+                roots.fill(math.inf)
+                np.divide(num, den, out=roots, where=den > 0)
+                roots[blocked] = math.inf
+                if masked >= 0:
+                    roots[masked] = math.inf
+                entry = int(roots.argmin())
+                gamma = float(roots[entry])
+            # Slots past k have d = 0 and never shrink.
+            shrinking = d * sigma < 0
+            drops = np.full(rank, math.inf)
+            np.maximum(-aS / d, 0.0, out=drops, where=shrinking)
+            i = int(drops.argmin())
+            if drops[i] < gamma:
+                gamma, slot = float(drops[i]), i
+
+            if gamma >= tau - HOMOTOPY_TIE_RTOL * tau0:
+                ended = True
+                break
+            aS += gamma * d
+            c2 -= gamma * v2
+            tau -= gamma
+            if slot < 0:
+                join(entry % N, 1.0 if entry < N else -1.0)
+                masked = -1
+            else:
+                j = int(S[slot])
+                masked = j if sigma[slot] > 0 else N + j
+                c2[j], c2[N + j] = tau * sigma[slot], -tau * sigma[slot]
+                drop(slot)
+    if not ended:
+        a[S[:k]] = aS[:k]
+        return a, False
+
+    # A coefficient whose drop ties the end of the path is zero there.
+    keep = drops[:k] > tau + HOMOTOPY_TIE_RTOL * tau0
+    B_end = BS[:k][keep].T
+    try:
+        if B_end.shape[1] == n:
+            a_end = np.linalg.solve(B_end, b)
+        else:
+            a_end = np.linalg.lstsq(B_end, b, rcond=None)[0]
+    except np.linalg.LinAlgError:  # B_end singular to working precision
+        a[S[:k]] = aS[:k]
+        return a, False
+    a[S[:k][keep]] = a_end
+    l1 = float(np.sum(np.abs(a_end)))
+    bound = float(b @ (BS.T @ d)) / float(np.max(np.abs(v2)))
+    return a, l1 - bound <= L1_GAP_RTOL * l1
 
 
 def fit(

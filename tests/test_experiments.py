@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 import time
 
@@ -119,6 +120,28 @@ class TestPersistence:
         back = load(persist(res, tmp_path / "out"))
         assert len(back.rows) == len(rows)
         assert all(rows_equal(a, b) for a, b in zip(rows, back.rows))
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # The N = 8 < n = 12 rows are infeasible, so their groups have nan
+        # means: summary.json holds them as null, and load() restores nan.
+        cfg = ExperimentConfig(d=5, n=12, p_list=[1.0, 2.0], N_list=[8, 32], seeds=[0, 1],
+                               M_test=200)
+        res = run_fig1(cfg)
+        out = persist(res, tmp_path / "fig1")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        nulls = sorted(k for k, v in summary["aggregates"].items() if v["test_error_mean"] is None)
+        assert nulls == ["fig1|p=1|n=12|N=8", "fig1|p=2|n=12|N=8"]
+        back = load(out)
+        assert back.config == res.config
+        assert list(back.aggregates) == list(res.aggregates)
+        for key, group in res.aggregates.items():
+            for name, value in group.items():
+                got = back.aggregates[key][name]
+                assert got == value or (math.isnan(value) and math.isnan(got)), (key, name)
 
     def test_empty_result_header_only(self, tmp_path):
         res = ExperimentResult(rows=[], aggregates={}, config={})

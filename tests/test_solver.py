@@ -1,4 +1,4 @@
-"""Dual solver: objective/derivatives, Newton ascent, primal recovery, l1 LP."""
+"""Dual solver: objective/derivatives, Newton ascent, primal recovery, l1 homotopy."""
 
 import dataclasses
 import itertools
@@ -285,122 +285,160 @@ class TestSolveL1:
         assert prim.objective_primal <= np.sum(np.abs(a_dual)) + 1e-8
 
     @staticmethod
-    def _wrap_linprog(monkeypatch, change=lambda res: None):
-        """Every linprog result passes through change(res) before solve_l1 sees it.
-
-        Returns the list of (args, kwargs) of the calls made.
-        """
-        linprog = solver.linprog
-        calls = []
-
-        def wrapped(*args, **kwargs):
-            calls.append((args, kwargs))
-            res = linprog(*args, **kwargs)
-            change(res)
-            return res
-
-        monkeypatch.setattr(solver, "linprog", wrapped)
-        return calls
-
-    @staticmethod
-    def _with_presolve(call):
-        """The same linprog call with HiGHS presolve on: the path solve_l1 replaced."""
-        args, kwargs = call
-        res = linprog(*args, **{**kwargs, "options": {**kwargs["options"], "presolve": True}})
-        N = res.x.size // 2
+    def _linprog(Phi, y, presolve=False):
+        """The slow path: the l1 program as a linear program over a = a+ - a-,
+        by the HiGHS dual simplex, which solve_l1 ran before the homotopy."""
+        N = Phi.shape[1]
+        res = linprog(
+            np.ones(2 * N), A_eq=np.hstack([Phi, -Phi]) / N, b_eq=y, bounds=(0, None),
+            method="highs-ds",
+            options={"presolve": presolve, "primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10},
+        )
+        assert res.success
         return res.x[:N] - res.x[N:]
 
-    def test_presolve_is_off(self, monkeypatch):
-        calls = self._wrap_linprog(monkeypatch)
-        solve_l1(*_random_problem(10, 50, 4, seed=16))
-        assert len(calls) == 1 and calls[0][1]["options"]["presolve"] is False
+    @classmethod
+    def _assert_same_vertex(cls, Phi, y, presolve=False, rtol=1e-9):
+        prim = solve_l1(Phi, y)
+        vertex = cls._linprog(Phi, y, presolve)
+        assert prim.converged and prim.iters == 0
+        assert prim.residual <= L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
+        np.testing.assert_array_equal(np.flatnonzero(prim.a), np.flatnonzero(vertex))
+        assert prim.objective_primal == pytest.approx(np.sum(np.abs(vertex)), rel=rtol)
+        return prim
+
+    @pytest.mark.parametrize("n, N, d, seed", [(10, 50, 4, 16), (150, 256, 30, 1), (150, 1024, 30, 2)])
+    def test_matches_linprog(self, n, N, d, seed):
+        self._assert_same_vertex(*_random_problem(n, N, d, seed))
 
     @pytest.mark.parametrize("n, N, d, seed", [(10, 50, 4, 16), (150, 512, 30, 0)])
-    def test_same_vertex_as_with_presolve(self, monkeypatch, n, N, d, seed):
-        # Presolve reduces nothing on [Phi, -Phi] / N, so the simplex takes
-        # the same pivots to the same vertex.
-        calls = self._wrap_linprog(monkeypatch)
-        a = solve_l1(*_random_problem(n, N, d, seed)).a
-        np.testing.assert_array_equal(a, self._with_presolve(calls[0]))
+    def test_same_vertex_as_with_presolve(self, n, N, d, seed):
+        # HiGHS with presolve, the path before presolve was turned off, ends
+        # on the same vertex as the homotopy.
+        self._assert_same_vertex(*_random_problem(n, N, d, seed), presolve=True)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_rank_deficient_rows_without_presolve(self, monkeypatch, seed):
-        # Phi of rank 5 < n = 12: presolve would drop the 7 dependent rows;
-        # without it the simplex keeps them and reaches the same optimum.
+    def test_rank_deficient_rows_without_presolve(self, seed):
+        # Phi of rank 5 < n = 12: presolve drops the 7 dependent rows; the
+        # homotopy keeps them, stops joining at 5 columns and reaches the
+        # same optimum.
         rng = np.random.default_rng(seed)
         Phi = rng.standard_normal((12, 5)) @ rng.standard_normal((5, 64))
         y = Phi @ rng.standard_normal(64) / 64
-        calls = self._wrap_linprog(monkeypatch)
-        prim = solve_l1(Phi, y)
-        assert prim.converged and np.count_nonzero(prim.a) <= 5
-        on = np.sum(np.abs(self._with_presolve(calls[0])))
-        assert prim.objective_primal == pytest.approx(on, rel=1e-12)
+        prim = self._assert_same_vertex(Phi, y, presolve=True, rtol=1e-12)
+        assert np.count_nonzero(prim.a) <= 5
 
     def test_highs_accepts_every_option(self):
         # scipy passes an unknown HiGHS option to the solver with only a
-        # warning, so a misspelt option name would otherwise go unnoticed.
+        # warning, so a misspelt option of the slow path would otherwise go
+        # unnoticed.
         with warnings.catch_warnings():
             warnings.simplefilter("error", OptimizeWarning)
-            solve_l1(*_random_problem(10, 50, 4, seed=16))
+            self._linprog(*_random_problem(10, 50, 4, seed=16))
 
-    def test_polish_restores_a_perturbed_vertex(self, monkeypatch):
-        # A vertex off by 1e-6 relative (zeros and signs kept) misses the
-        # residual tolerance; re-solving on its support recovers the optimum.
-        Phi, y = _random_problem(10, 50, 4, seed=16)
-        exact = solve_l1(Phi, y)
-        rng = np.random.default_rng(0)
+    def test_tie_at_the_end_of_the_path(self):
+        # The optimum has 4 < n = 5 columns: a fifth coefficient reaches zero
+        # exactly at tau = 0, where the end of the path wins the tie.
+        Phi, y = _random_problem(5, 20, 4, seed=17)
+        prim = self._assert_same_vertex(Phi, y)
+        assert np.count_nonzero(prim.a) == 4
 
-        def perturb(res):
-            res.x = res.x * (1 + 1e-6 * rng.choice([-1.0, 1.0], res.x.shape))
+    def test_dropped_column_rejoins_with_opposite_sign(self):
+        # Trial 2 of criterion 4 (n = 3, N = 4): a column leaves the support
+        # and must rejoin from the opposite boundary, which a mask on the
+        # whole column would miss.
+        rng = np.random.default_rng(404)
+        for _ in range(3):
+            n = int(rng.integers(1, 5))
+            N = int(rng.integers(n + 1, 13))
+            Phi, y = rng.standard_normal((n, N)), rng.standard_normal(n)
+        assert (n, N) == (3, 4)
+        prim = self._assert_same_vertex(Phi, y)
+        assert prim.objective_primal == pytest.approx(_l1_bruteforce(Phi, y), abs=1e-8)
 
-        self._wrap_linprog(monkeypatch, perturb)
+    def test_duplicated_columns_wait_for_a_drop(self):
+        # A copy of a support column, or its negative, rides the boundary
+        # with it; joining it would make B_S singular.
+        Phi, y = _random_problem(10, 25, 4, seed=16)
+        Phi = np.hstack([Phi, Phi, -Phi])
         prim = solve_l1(Phi, y)
-        assert prim.residual <= L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
-        np.testing.assert_allclose(prim.a, exact.a, rtol=1e-9, atol=1e-12 * np.abs(exact.a).max())
-        assert prim.objective_primal == pytest.approx(exact.objective_primal, rel=1e-12)
+        assert prim.converged
+        assert prim.objective_primal == pytest.approx(np.sum(np.abs(self._linprog(Phi, y))), rel=1e-9)
+
+    def test_degenerate_vertex_is_certified(self):
+        # Integer data: the support solve returns a coefficient that is zero
+        # at the optimum as a rounding-size number of the wrong sign, which
+        # the duality gap tolerates and a strict sign test would not.
+        rng = np.random.default_rng(137)
+        n = int(rng.integers(2, 8))
+        N = int(rng.integers(n + 1, 3 * n + 2))
+        Phi = rng.integers(-1, 2, (n, N)).astype(float)
+        y = rng.integers(-2, 3, n).astype(float)
+        prim = solve_l1(Phi, y)
+        assert (n, N) == (4, 12) and prim.converged
+        assert prim.objective_primal == pytest.approx(_l1_bruteforce(Phi, y), abs=1e-8)
+        assert prim.objective_primal == pytest.approx(np.sum(np.abs(self._linprog(Phi, y))), rel=1e-9)
 
     def test_sign_flip_is_not_polished(self, monkeypatch):
-        # Swapping a+ and a- of one support coordinate flips its sign; the
-        # re-solve would flip it back, so the vertex is rejected instead.
+        # A support solve that flips a coefficient's sign fails the
+        # certificate: the record is max_iters with that point's residual.
         Phi, y = _random_problem(10, 50, 4, seed=16)
         N = Phi.shape[1]
-
+        solve = np.linalg.solve
         flipped = []
 
-        def flip(res):
-            j = int(np.flatnonzero(res.x[:N] - res.x[N:])[0])
-            res.x[j], res.x[N + j] = res.x[N + j], res.x[j]
-            flipped.append(res.x[:N] - res.x[N:])
+        def flip(A, b):
+            a_S = solve(A, b)
+            a_S[0] = -a_S[0]
+            flipped.append(A @ a_S / N - b / N)
+            return a_S
 
-        self._wrap_linprog(monkeypatch, flip)
+        monkeypatch.setattr(solver.np.linalg, "solve", flip)
         prim = solve_l1(Phi, y)
-        vertex_residual = np.linalg.norm(Phi @ flipped[0] / N - y)
-        assert vertex_residual > L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
-        assert prim.status == STATUS_INFEASIBLE and prim.iters == 0 and prim.a is None
-        assert prim.residual == vertex_residual and np.isnan(prim.objective_primal)
+        assert len(flipped) == 1
+        assert prim.status == STATUS_MAX_ITERS and prim.iters == 0 and prim.a is None
+        assert np.isnan(prim.objective_primal)
+        assert prim.residual == pytest.approx(np.linalg.norm(flipped[0]), rel=1e-9)
 
-    def test_failed_program_is_infeasible(self, monkeypatch):
-        # A linprog call without an optimum leaves no residual to report.
-        def fail(res):
-            res.success = False
+    def test_uncertified_end_is_max_iters(self, monkeypatch):
+        # The duality gap is never negative, so a negative gap tolerance
+        # fails every certificate, although the end point interpolates.
+        monkeypatch.setattr(solver, "L1_GAP_RTOL", -1e-3)
+        Phi, y = _random_problem(10, 50, 4, seed=16)
+        prim = solve_l1(Phi, y)
+        assert prim.status == STATUS_MAX_ITERS and prim.a is None
+        assert prim.residual <= L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
 
-        self._wrap_linprog(monkeypatch, fail)
-        prim = solve_l1(*_random_problem(10, 50, 4, seed=16))
-        assert prim.status == STATUS_INFEASIBLE and prim.iters == 0 and prim.a is None
-        assert np.isnan(prim.residual) and np.isnan(prim.objective_primal)
+    def test_capped_path_is_max_iters(self, monkeypatch):
+        # One step per row of Phi is too few for this path: it stops short of
+        # tau = 0, uncertified and with a residual above the tolerance.
+        monkeypatch.setattr(solver, "HOMOTOPY_STEPS_PER_ROW", 1)
+        Phi, y = _random_problem(10, 50, 4, seed=16)
+        prim = solve_l1(Phi, y)
+        assert prim.status == STATUS_MAX_ITERS and prim.iters == 0 and prim.a is None
+        assert np.isnan(prim.objective_primal)
+        assert prim.residual > L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
 
     def test_vertex_within_tolerance_is_kept(self, monkeypatch):
-        # A vertex that meets the tolerance is returned bitwise, unpolished.
+        # The support solve's vertex meets the tolerance and is returned
+        # bitwise; nothing re-solves it.
+        solve = np.linalg.solve
         seen = []
-        self._wrap_linprog(monkeypatch, lambda res: seen.append(res.x.copy()))
+
+        def recorded(A, b):
+            seen.append(solve(A, b))
+            return seen[-1]
 
         def fail(*args, **kwargs):
-            raise AssertionError("vertex polished although it met the tolerance")
+            raise AssertionError("vertex re-solved although it met the tolerance")
 
+        monkeypatch.setattr(solver.np.linalg, "solve", recorded)
         monkeypatch.setattr(solver.np.linalg, "pinv", fail)
         Phi, y = _random_problem(10, 50, 4, seed=16)
-        N = Phi.shape[1]
-        np.testing.assert_array_equal(solve_l1(Phi, y).a, seen[0][:N] - seen[0][N:])
+        a = solve_l1(Phi, y).a
+        assert len(seen) == 1
+        np.testing.assert_array_equal(np.sort(a[a != 0]), np.sort(seen[0]))
 
 
 def _range_distance(Phi, y):
@@ -468,11 +506,11 @@ class TestInfeasibilityCertificate:
         prim = solve_l1(Phi, y)
         assert prim.residual <= L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
 
-    def test_l1_infeasible_without_linprog(self, monkeypatch):
+    def test_l1_infeasible_never_enters_the_path(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("linprog called on a certified infeasible problem")
+            raise AssertionError("homotopy run on a certified infeasible problem")
 
-        monkeypatch.setattr(solver, "linprog", fail)
+        monkeypatch.setattr(solver, "_homotopy", fail)
         Phi, y = _random_problem(20, 5, 6, seed=10)
         prim = solve_l1(Phi, y)
         assert prim.status == STATUS_INFEASIBLE and prim.iters == 0 and prim.a is None
