@@ -51,6 +51,10 @@ from .solver import Solution, dual_gradient
 
 # Gaussian absolute moments E|G|^q for the moment-ratio proxy.
 _GAUSS_ABS_MOMENTS = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
+# Exponents r of the moments E|<v, psi>|^r of `feat3_prime_moments`.
+_FEAT3_POWERS = (-0.25, -0.5, -0.75)
+# Row-wise moment passes run over blocks of about this many entries (2 MB).
+_BLOCK_ENTRIES = 2**18
 
 _QUAD_STABLE_TOL = 1e-8
 
@@ -210,8 +214,11 @@ def smallball_estimate(
 ) -> float:
     """max over unit directions v of the empirical P(|<v, psi>| <= eta).
 
-    Directions are `directions` uniform draws on the sphere plus the n
-    coordinate axes.
+    `Psi_samples` is M x n, one whitened sample a row.  Directions are the n
+    coordinate axes plus `directions` uniform draws on the sphere.  The
+    estimate reads the transpose, n x M, where row i is the projection onto
+    axis i, so the axes take no product; the random directions are projected
+    64 at a time.
     """
     Psi = np.asarray(Psi_samples, dtype=np.float64)
     if Psi.ndim != 2 or Psi.shape[0] < 1_000:
@@ -219,15 +226,48 @@ def smallball_estimate(
     if directions < 100:
         raise ValueError("need at least 1e2 probe directions")
     M, n = Psi.shape
-    rng = rng_from(seed, "directions")
-    worst = 0.0
-    V = np.vstack([np.eye(n), rng.standard_normal((directions, n))])
+    axes = Psi.T  # n x M
+    V = rng_from(seed, "directions").standard_normal((directions, n))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    for lo in range(0, V.shape[0], 64):
-        block = V[lo : lo + 64]
-        probs = np.mean(np.abs(Psi @ block.T) <= eta, axis=0)
-        worst = max(worst, float(np.max(probs)))
-    return worst
+    worst = 0  # the largest count of |projection| <= eta over the probes
+    for lo in range(0, n, 64):
+        inside = np.abs(axes[lo : lo + 64]) <= eta
+        worst = max(worst, int(np.max(np.count_nonzero(inside, axis=1))))
+    for lo in range(0, directions, 64):
+        proj = V[lo : lo + 64] @ axes
+        inside = np.abs(proj, out=proj) <= eta
+        worst = max(worst, int(np.max(np.count_nonzero(inside, axis=1))))
+    return worst / M
+
+
+def _row_block(columns: int) -> int:
+    """Rows per block of a row-wise moment pass over `columns` samples (about 2 MB)."""
+    return max(1, _BLOCK_ENTRIES // columns)
+
+
+def _moment_scales(rows: np.ndarray, mean_removed: bool = False) -> np.ndarray:
+    """`subgaussian_proxy` of each row of `rows` (k x M), a block of rows at a time.
+
+    |x|^2 is x * x and the 4th, 6th and 8th powers are products of it, so no
+    pass takes a generic `pow`.
+    """
+    k, M = rows.shape
+    moments = np.empty((len(_GAUSS_ABS_MOMENTS), k))  # one row per q
+    step = _row_block(M)
+    for lo in range(0, k, step):
+        x = rows[lo : lo + step]
+        if not mean_removed:
+            x = x - np.mean(x, axis=1, keepdims=True)
+        x2 = x * x
+        x4 = x2 * x2
+        m = moments[:, lo : lo + step]
+        m[0] = np.mean(x2, axis=1)
+        m[1] = np.mean(x4, axis=1)
+        m[2] = np.mean(np.multiply(x4, x2, out=x2), axis=1)
+        m[3] = np.mean(np.multiply(x4, x4, out=x4), axis=1)
+    q = np.array(list(_GAUSS_ABS_MOMENTS), dtype=np.float64)[:, None]
+    cq = np.array(list(_GAUSS_ABS_MOMENTS.values()))[:, None]
+    return np.maximum(np.max((moments / cq) ** (1.0 / q), axis=0), 1.0)
 
 
 def subgaussian_proxy(samples: np.ndarray, mean_removed: bool = False) -> float:
@@ -239,12 +279,31 @@ def subgaussian_proxy(samples: np.ndarray, mean_removed: bool = False) -> float:
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 1_000:
         raise ValueError("need at least 1e3 samples")
-    if not mean_removed:
-        x = x - np.mean(x)
-    tau = 1.0
-    for q, cq in _GAUSS_ABS_MOMENTS.items():
-        tau = max(tau, float((np.mean(np.abs(x) ** q) / cq) ** (1.0 / q)))
-    return tau
+    return float(_moment_scales(x[None, :], mean_removed)[0])
+
+
+def _inverse_root_moments(abs_rows: np.ndarray) -> dict[float, float]:
+    """max over the rows of `abs_rows` (k x M, entries |x|) of mean |x|^r, for
+    r in _FEAT3_POWERS, a block of rows at a time into reused buffers.
+
+    |x|^{-1/4}, |x|^{-1/2} and |x|^{-3/4} come from two square roots and a
+    reciprocal each; a zero entry makes its row's means infinite.
+    """
+    k, M = abs_rows.shape
+    step = min(_row_block(M), k)
+    half, quarter, buf = (np.empty((step, M)) for _ in range(3))
+    means = np.empty((len(_FEAT3_POWERS), k))
+    with np.errstate(divide="ignore"):
+        for lo in range(0, k, step):
+            b = min(step, k - lo)
+            h, q, t = half[:b], quarter[:b], buf[:b]
+            m = means[:, lo : lo + b]
+            np.sqrt(abs_rows[lo : lo + b], out=h)
+            np.sqrt(h, out=q)
+            m[0] = np.mean(np.divide(1.0, q, out=t), axis=1)
+            m[1] = np.mean(np.divide(1.0, h, out=t), axis=1)
+            m[2] = np.mean(np.divide(1.0, np.multiply(h, q, out=t), out=t), axis=1)
+    return {r: float(m) for r, m in zip(_FEAT3_POWERS, np.max(means, axis=1))}
 
 
 @dataclass(frozen=True)
@@ -273,24 +332,21 @@ def assumption_report(
     the directional proxy of the whitened vector.  eta_hat is the largest ball
     radius at which the worst-direction small-ball probability stays below 1/4
     (a 25th-percentile estimate).
+
+    Every probe is a row of one (n + 64) x n_samples buffer: the n whitened
+    coordinates (Psi = K^{-1/2} Phi, written there by `whiten`; row i is the
+    projection onto axis i) and the projections onto 64 random directions.
+    The moments read the signed rows, then the buffer turns into |projections|
+    in place, and the 25% quantile partitions each row in place last.
     """
     rng = rng_from(seed, "weights", 77)
     W = _draw_weights(spec, inst.d, n_samples, rng)
     Phi = featurize(spec, inst.X, W, seed=int(rng.integers(2**32)))  # n x M
-    Psi = whiten(oracle, Phi).T  # M x n whitened samples
 
-    Fbar = mean_features(spec, inst.X, W)  # n x M (no noise)
-    tau_scalar = max(subgaussian_proxy(Fbar[i]) for i in range(inst.n))
-    dirs = rng_from(seed, "directions", 1).standard_normal((min(directions, 64), inst.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    proj = Psi @ dirs.T  # M x 64 projections onto the directions
-    tau_dir = max(subgaussian_proxy(column) for column in proj.T)
-    tau_hat = max(1.0, tau_scalar, tau_dir)
-
-    smallball_prob = smallball_estimate(Psi, eta, directions, seed)
-    # |<probe, psi>| for the n coordinate axes and the directions.
-    abs_proj = np.abs(np.hstack([Psi, proj]))
-    eta_hat = float(np.min(np.quantile(abs_proj, 0.25, axis=0)))
+    # Without feature noise Phi is the mean feature matrix sigma(X W^T).
+    Fbar = Phi if spec.noise_gamma == 0 else mean_features(spec, inst.X, W)
+    tau_scalar = float(np.max(_moment_scales(Fbar)))
+    del Fbar
 
     # Built-in activations are 1-Lipschitz, so L(w) = ||w||_2.
     if not callable(spec.activation):
@@ -302,9 +358,22 @@ def assumption_report(
         }
     else:
         lipschitz_tail = {"scale": None, "note": "no Lipschitz audit for custom activations"}
+    del W
 
-    with np.errstate(divide="ignore"):
-        feat3_prime = {r: float(np.max(np.mean(abs_proj**r, axis=0))) for r in (-0.25, -0.5, -0.75)}
+    dirs = rng_from(seed, "directions", 1).standard_normal((min(directions, 64), inst.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    probes = np.empty((inst.n + dirs.shape[0], n_samples))
+    Psi, proj = probes[: inst.n], probes[inst.n :]
+    whiten(oracle, Phi, out=Psi)
+    del Phi
+    np.matmul(dirs, Psi, out=proj)
+    tau_dir = float(np.max(_moment_scales(proj)))
+    tau_hat = max(1.0, tau_scalar, tau_dir)
+    smallball_prob = smallball_estimate(Psi.T, eta, directions, seed)
+
+    abs_proj = np.abs(probes, out=probes)
+    feat3_prime = _inverse_root_moments(abs_proj)
+    eta_hat = float(np.min(np.quantile(abs_proj, 0.25, axis=1, overwrite_input=True)))
     return AssumptionReport(
         tau_hat=tau_hat,
         eta_hat=eta_hat,
@@ -408,16 +477,17 @@ def event_audit(
     # E3: smallest whitened curvature of the finite dual over the grid.
     Psi = whiten(oracle, finite.Phi)
     N = finite.Phi.shape[1]
+    U = finite.Phi.T @ grid  # N x G: <phi_j, lambda> at every grid point
     min_curv = math.inf
     for g in range(G):
-        sp = link_s_prime(pen, finite.Phi.T @ grid[:, g])
+        sp = link_s_prime(pen, U[:, g])
         B = (Psi * sp) @ Psi.T / N
         min_curv = min(min_curv, float(np.linalg.eigvalsh(0.5 * (B + B.T))[0]))
     beta = min_curv * s_arg / s_norm
 
     # E1 / continuity / lhs share one covariate batch.
     X_mc = sample_covariates(ds, M, seed)
-    S_fin = np.asarray(link_s(pen, finite.Phi.T @ grid)) / N  # N x G
+    S_fin = np.asarray(link_s(pen, U)) / N  # N x G
     S_ref = np.asarray(link_s(pen, reference.Phi.T @ grid)) / reference.Phi.shape[1]
     sq_diff = np.zeros(G)
     sq_ref_dev = np.zeros(G)

@@ -3,9 +3,9 @@
 Subcommands: `mci solve | fig1 | scaling | latent | audit`.  A JSON config
 file supplies any subset of the experiment fields; `--set key=value` overrides
 individual entries (nested solver options as `solver.max_iters=100`).  Exit
-codes: 0 on success, 2 when any row-level solve failed or an audit's
-event-budget solve did not converge (results are still written), 1 on a fatal
-error.
+codes: 0 on success, 2 when any row-level or reference solve failed or an
+audit's event-budget solve did not converge (results are still written), 1 on
+a fatal error.
 """
 
 from __future__ import annotations

@@ -236,7 +236,8 @@ def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instanc
 
     Also returns the population term E[z s(<phi, lam>)] of the exact-fit noise
     identity: gamma^2 K^{-1} y in closed form for p = 2, otherwise estimated
-    from the reference solve's own noise matrix.
+    from the reference solve's own noise matrix.  A reference solve that does
+    not converge raises NotConverged with its status.
     """
     if p == 2.0:
         oracle = kernel_matrix(spec, inst.X, method=_closed_form_method(spec),
@@ -295,19 +296,25 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
     column feeds both `test_error` and `l2_distance`.  `wall_ms` is the row's
     fit time.  Every fit ends in a status and the sweep continues; only rows
     whose fit converged are predicted and scored, the others carry nan
-    `test_error` and `l2_to_ref`.
+    `test_error` and `l2_to_ref`.  A reference that does not converge makes
+    every row of its (seed, p) unconverged in the same way, and its reason is
+    kept under `reference_failed` in the extras.
     """
     spec, ds = cfg.feature_spec(), cfg.data_spec()
 
-    def per_seed(seed: int) -> tuple[list[Row], float, dict]:
+    def per_seed(seed: int) -> tuple[list[Row], float, dict, dict]:
         inst = sample_data(ds, cfg.n, seed)
         test_seed = derived_seed(seed, "test")
         X_test = sample_covariates(ds, cfg.M_test, test_seed)
         y_test = ds.target(X_test)
-        ref_values, ref_noise = {}, {}
+        ref_values, ref_noise, ref_failed = {}, {}, {}
         if experiment != FIG1:
             for p in cfg.p_list:
-                ref, ref_noise[p] = _reference_predictor(cfg, spec, inst, p, seed)
+                try:
+                    ref, ref_noise[p] = _reference_predictor(cfg, spec, inst, p, seed)
+                except NotConverged as exc:
+                    ref_failed[p] = str(exc)
+                    continue
                 ref_values[p] = ref.predict(X_test)
         N_max = cfg.N_list[-1]
         W_max = sample_weights(spec, cfg.d, N_max, seed)
@@ -317,20 +324,20 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
             for p in cfg.p_list:
                 t0 = time.perf_counter()
                 res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver)
-                fits.append((p, N, res, (time.perf_counter() - t0) * 1e3))
-                if experiment == LATENT and res.converged and p > 1:
+                ok = res.converged and p not in ref_failed
+                fits.append((p, N, res, ok, (time.perf_counter() - t0) * 1e3))
+                if experiment == LATENT and ok and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
                     residuals[(p, N)] = float(np.linalg.norm(Z @ res.a / N - ref_noise[p]))
         # A width-N model is the column (N_max / N) a of a model on W_max,
         # zero-padded below N, so one pass predicts every converged model.
-        converged = [(N, res.a) for _, N, res, _ in fits if res.converged]
+        converged = [(N, res.a) for _, N, res, ok, _ in fits if ok]
         A = np.zeros((N_max, len(converged)))
         for c, (N, a) in enumerate(converged):
             A[:N, c] = (N_max / N) * a
         columns = iter(Predictor(W=W_max, a=A, spec=spec).predict(X_test).T if converged else ())
         rows = []
-        for p, N, res, wall in fits:
-            ok = res.converged
+        for p, N, res, ok, wall in fits:
             te = dist = math.nan
             if ok:
                 values = next(columns)
@@ -338,18 +345,24 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
                 if ref_values:
                     dist, _ = l2_distance(values, ref_values[p], ds, cfg.M_test, test_seed, X_test)
             rows.append(Row(experiment, p, cfg.n, N, seed, te, dist, res.iters, ok, wall))
-        return rows, float(np.linalg.svd(inst.X, compute_uv=False)[-1]), residuals
+        return rows, float(np.linalg.svd(inst.X, compute_uv=False)[-1]), residuals, ref_failed
 
     results = _map_seeds(per_seed, cfg.seeds, cfg.threads)
-    rows = sorted((r for chunk, _, _ in results for r in chunk), key=lambda r: (r.p, r.N, r.seed))
+    rows = sorted((r for chunk, *_ in results for r in chunk), key=lambda r: (r.p, r.N, r.seed))
     noise_residuals = {}
     for p in cfg.p_list:
         for N in cfg.N_list:
-            vals = [res[(p, N)] for _, _, res in results if (p, N) in res]
+            vals = [res[(p, N)] for _, _, res, _ in results if (p, N) in res]
             if vals:
                 noise_residuals[f"p={p:g}|N={N}"] = vals
-    sigma_min = {str(seed): smin for seed, (_, smin, _) in zip(cfg.seeds, results)}
-    return rows, {"noise_residuals": noise_residuals, "sigma_min": sigma_min}
+    sigma_min = {str(seed): smin for seed, (_, smin, _, _) in zip(cfg.seeds, results)}
+    extras = {"noise_residuals": noise_residuals, "sigma_min": sigma_min}
+    reference_failed = {f"seed={seed}|p={p:g}": reason
+                        for seed, (*_, failed) in zip(cfg.seeds, results)
+                        for p, reason in failed.items()}
+    if reference_failed:
+        extras["reference_failed"] = reference_failed
+    return rows, extras
 
 
 def run_fig1(cfg: ExperimentConfig) -> ExperimentResult:

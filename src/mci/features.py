@@ -429,12 +429,13 @@ def kernel_matrix(
     )
 
 
-def whiten(oracle: KernelOracle, Phi: np.ndarray) -> np.ndarray:
-    """Whitened features Psi = K^{-1/2} Phi (columnwise)."""
+def whiten(oracle: KernelOracle, Phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Whitened features Psi = K^{-1/2} Phi (columnwise), written into `out`
+    when it is given."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.shape[0] != oracle.n:
         raise ValueError(f"Phi has {Phi.shape[0]} rows, oracle expects {oracle.n}")
-    return oracle.inv_sqrt @ Phi
+    return np.matmul(oracle.inv_sqrt, Phi, out=out)
 
 
 def save_matrix_csv(path, M: np.ndarray) -> None:

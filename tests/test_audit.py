@@ -236,34 +236,130 @@ class TestAssumptionReport:
         assert rep.lipschitz_tail["scale"] is not None
         assert all(np.isfinite(v) for v in rep.feat3_prime_moments.values())
 
-    def test_matches_per_probe_projections(self, monkeypatch):
-        # The report forms every projection in two products; the reference
-        # forms them one probe at a time, the coordinate axes as products with
-        # the identity.  Only the summation order differs.
-        spec = FeatureSpec(activation="relu")
-        ds = DataSpec(d=5, target=RidgeTarget.random(5, 1))
-        inst = sample_data(ds, 15, seed=4)
-        oracle = kernel_matrix(spec, inst.X, method="arc_cosine")
-        samples, whitened = [], []
-        proxy, smallball = audit.subgaussian_proxy, audit.smallball_estimate
-        monkeypatch.setattr(audit, "subgaussian_proxy", lambda x: samples.append(x) or proxy(x))
-        monkeypatch.setattr(audit, "smallball_estimate",
-                            lambda Psi, *args: whitened.append(Psi) or smallball(Psi, *args))
-        rep = assumption_report(spec, inst, oracle, n_samples=20_000, eta=0.1, seed=5)
-
-        Psi = whitened[0]
-        dirs = rng_from(5, "directions", 1).standard_normal((64, inst.n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        directional = samples[inst.n : inst.n + 64]  # after the n mean-feature rows
-        for got, v in zip(directional, dirs):
-            np.testing.assert_allclose(got, Psi @ v, rtol=1e-12, atol=1e-12)
-        probe = np.vstack([np.eye(inst.n), dirs])
-        eta_hat = float(np.min(np.quantile(np.abs(Psi @ probe.T), 0.25, axis=0)))
-        assert rep.eta_hat == pytest.approx(eta_hat, rel=1e-12)
-        with np.errstate(divide="ignore"):
+    def test_matches_per_probe_projections(self):
+        # The report reads every probe as a row of one buffer; the slow path is
+        # the M x n layout with the coordinate axes as products with the
+        # identity and per-sample `pow` moments.  The noisy identity map takes
+        # the separate noise-free branch of tau_scalar.
+        cases = ((FeatureSpec(activation="relu"), "arc_cosine"),
+                 (FeatureSpec(activation="identity", noise_gamma=1.0), "latent_linear"))
+        for spec, method in cases:
+            ds = DataSpec(d=5, target=RidgeTarget.random(5, 1, activation=spec.activation))
+            inst = sample_data(ds, 15, seed=4)
+            oracle = kernel_matrix(spec, inst.X, method=method)
+            rep = assumption_report(spec, inst, oracle, n_samples=20_000, eta=0.1, seed=5)
+            slow = _slow_assumption_report(spec, inst, oracle, n_samples=20_000, eta=0.1, seed=5)
+            assert rep.smallball_prob == slow.smallball_prob
+            assert rep.tau_hat == pytest.approx(slow.tau_hat, rel=1e-12)
+            assert rep.eta_hat == pytest.approx(slow.eta_hat, rel=1e-12)
+            assert rep.lipschitz_tail == pytest.approx(slow.lipschitz_tail, rel=1e-12)
+            assert list(rep.feat3_prime_moments) == list(slow.feat3_prime_moments)
             for r, got in rep.feat3_prime_moments.items():
-                want = float(np.max(np.mean(np.abs(Psi @ probe.T) ** r, axis=0)))
-                assert got == pytest.approx(want, rel=1e-8)
+                assert got == pytest.approx(slow.feat3_prime_moments[r], rel=1e-12)
+
+    def test_peak_memory(self):
+        # The report holds the n x 20,000 features and one (n + 64) x 20,000
+        # probe buffer at a time (58 MB at n = 150); the M x n layout it
+        # replaced peaked at 156 MB.
+        import tracemalloc
+
+        spec = FeatureSpec(activation="relu")
+        ds = DataSpec(d=30, target=RidgeTarget.random(30, 0))
+        inst = sample_data(ds, 150, seed=0)
+        oracle = kernel_matrix(spec, inst.X, method="arc_cosine")
+        tracemalloc.start()
+        try:
+            assumption_report(spec, inst, oracle, n_samples=20_000, eta=0.1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _slow_smallball(Psi, eta, directions, seed):
+    """smallball_estimate on M x n samples, every probe (the coordinate axes
+    as rows of the identity) a product, 64 probes at a time."""
+    M, n = Psi.shape
+    V = np.vstack([np.eye(n), rng_from(seed, "directions").standard_normal((directions, n))])
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    worst = 0.0
+    for lo in range(0, V.shape[0], 64):
+        probs = np.mean(np.abs(Psi @ V[lo : lo + 64].T) <= eta, axis=0)
+        worst = max(worst, float(np.max(probs)))
+    return worst
+
+
+def _slow_proxy(samples, mean_removed=False):
+    """subgaussian_proxy with a `pow` pass per moment."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    if not mean_removed:
+        x = x - np.mean(x)
+    tau = 1.0
+    for q, cq in ((2, 1.0), (4, 3.0), (6, 15.0), (8, 105.0)):
+        tau = max(tau, float((np.mean(np.abs(x) ** q) / cq) ** (1.0 / q)))
+    return tau
+
+
+def _slow_assumption_report(spec, inst, oracle, n_samples, eta, directions=128, seed=0):
+    """assumption_report in the M x n layout: noise-free features recomputed,
+    one proxy call per row, and every moment a `pow` over all probes."""
+    from mci.features import _draw_weights, mean_features
+
+    rng = rng_from(seed, "weights", 77)
+    W = _draw_weights(spec, inst.d, n_samples, rng)
+    Phi = featurize(spec, inst.X, W, seed=int(rng.integers(2**32)))
+    Psi = whiten(oracle, Phi).T
+    Fbar = mean_features(spec, inst.X, W)
+    tau_scalar = max(_slow_proxy(Fbar[i]) for i in range(inst.n))
+    dirs = rng_from(seed, "directions", 1).standard_normal((min(directions, 64), inst.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    proj = Psi @ dirs.T
+    tau_dir = max(_slow_proxy(column) for column in proj.T)
+    abs_proj = np.abs(Psi @ np.vstack([np.eye(inst.n), dirs]).T)
+    L = np.linalg.norm(W, axis=1)
+    with np.errstate(divide="ignore"):
+        feat3 = {r: float(np.max(np.mean(abs_proj**r, axis=0))) for r in (-0.25, -0.5, -0.75)}
+    return audit.AssumptionReport(
+        tau_hat=max(1.0, tau_scalar, tau_dir),
+        eta_hat=float(np.min(np.quantile(abs_proj, 0.25, axis=0))),
+        smallball_prob=_slow_smallball(Psi, eta, directions, seed),
+        lipschitz_tail={"scale": _slow_proxy(L), "max_observed": float(np.max(L)),
+                        "mean": float(np.mean(L))},
+        feat3_prime_moments=feat3,
+    )
+
+
+class TestProbeMajorFastPaths:
+    @pytest.mark.parametrize("layout", ["samples_major", "probe_major"])
+    def test_smallball_matches_identity_products(self, layout):
+        rng = np.random.default_rng(6)
+        Psi = rng.standard_normal((5_000, 70)) * rng.uniform(0.05, 2.0, 70)
+        if layout == "probe_major":
+            Psi = np.ascontiguousarray(Psi.T).T  # rows of the transpose are contiguous
+        for eta in (0.02, 0.1, 0.5):
+            assert smallball_estimate(Psi, eta, 150, seed=3) == _slow_smallball(Psi, eta, 150, 3)
+
+    @pytest.mark.parametrize("mean_removed", [False, True])
+    def test_row_moments_match_pow_per_row(self, mean_removed):
+        # 120 rows of 5,000 samples span three row blocks.
+        rng = np.random.default_rng(7)
+        rows = rng.standard_t(5, size=(120, 5_000)) * rng.uniform(0.1, 3.0, (120, 1))
+        rows[:40] += 2.0  # a nonzero mean
+        rows[3] = 0.0  # clips to 1
+        got = audit._moment_scales(rows, mean_removed)
+        want = [_slow_proxy(row, mean_removed) for row in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[3] == 1.0
+        assert subgaussian_proxy(rows[7], mean_removed) == got[7]
+
+    def test_inverse_root_moments_match_pow(self):
+        rng = np.random.default_rng(8)
+        rows = np.abs(rng.standard_normal((120, 5_000)))
+        got = audit._inverse_root_moments(rows)
+        for r in (-0.25, -0.5, -0.75):
+            assert got[r] == pytest.approx(np.max(np.mean(rows**r, axis=1)), rel=1e-12)
+        rows[60, 17] = 0.0
+        assert all(v == np.inf for v in audit._inverse_root_moments(rows).values())
 
 
 class TestRateBudget:

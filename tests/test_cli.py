@@ -252,14 +252,62 @@ def test_scaling_without_a_slope_writes_rows(tmp_path, capsys):
 
 
 def test_scaling_reference_failure_exit_code(tmp_path, capsys):
-    # N_ref < n: the p = 1.5 reference is infeasible, a fatal error.
+    # N_ref < n: the p = 1.5 reference is infeasible.  Its rows are written
+    # unconverged with nan values, the reason goes to the extras, and the run
+    # exits 2.
     cfg = _write_config(
         tmp_path, d=5, n=12, p_list=[1.5], N_list=[32, 64], seeds=[0], M_test=1_000, N_ref=8,
     )
-    code = main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "reference solve" in err and "infeasible" in err
+    out_dir = tmp_path / "out"
+    code = main(["scaling", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    rows = load(out_dir).rows
+    assert [(r.N, r.converged) for r in rows] == [(32, False), (64, False)]
+    assert all(np.isnan(r.test_error) and np.isnan(r.l2_to_ref) for r in rows)
+    extras = json.loads((out_dir / "summary.json").read_text())["extras"]
+    assert extras["reference_failed"] == {
+        "seed=0|p=1.5": "reference solve ended infeasible (p=1.5, N_ref=8)"
+    }
+
+
+def test_failed_reference_fit_keeps_every_other_row(tmp_path, monkeypatch):
+    # The reference fit of (seed 0, p = 1.5) is made to stop at its iteration
+    # cap; only that pair's rows change, and the run still writes every row.
+    import dataclasses
+
+    import mci.experiments as experiments
+    from mci.solver import STATUS_MAX_ITERS
+
+    fields = dict(d=5, n=12, p_list=[1.25, 1.5], N_list=[32, 64], seeds=[0, 1], M_test=1_000,
+                  N_ref=256)
+    cfg = _write_config(tmp_path, **fields)
+    assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "base")]) == 0
+    fit, failed = experiments.fit, []
+
+    def failing_fit(Phi, y, pen, opts):
+        res = fit(Phi, y, pen, opts)
+        if Phi.shape[1] == fields["N_ref"] and pen.p == 1.5 and not failed:
+            failed.append(pen.p)
+            return dataclasses.replace(res, status=STATUS_MAX_ITERS, a=None)
+        return res
+
+    monkeypatch.setattr(experiments, "fit", failing_fit)
+    out_dir = tmp_path / "out"
+    assert main(["scaling", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    base, rows = load(tmp_path / "base").rows, load(out_dir).rows
+    assert len(rows) == len(base) == 8
+    for b, r in zip(base, rows):
+        if (r.seed, r.p) == (0, 1.5):
+            assert not r.converged and np.isnan(r.test_error) and np.isnan(r.l2_to_ref)
+            assert r.solver_iters == b.solver_iters
+        else:
+            assert r.converged and (r.test_error, r.l2_to_ref) == (b.test_error, b.l2_to_ref)
+    extras = json.loads((out_dir / "summary.json").read_text())["extras"]
+    assert extras["reference_failed"] == {
+        "seed=0|p=1.5": "reference solve ended max_iters (p=1.5, N_ref=256)"
+    }
+    base_extras = json.loads((tmp_path / "base" / "summary.json").read_text())["extras"]
+    assert "reference_failed" not in base_extras
 
 
 def test_latent_cli(tmp_path, capsys):
