@@ -41,6 +41,7 @@ from .features import (
     apply_activation,
     chunk_rows,
     featurize,
+    lines_per_block,
     mean_features,
     sample_covariates,
     whiten,
@@ -53,10 +54,15 @@ from .solver import Solution, dual_gradient
 _GAUSS_ABS_MOMENTS = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
 # Exponents r of the moments E|<v, psi>|^r of `feat3_prime_moments`.
 _FEAT3_POWERS = (-0.25, -0.5, -0.75)
-# Row-wise moment passes run over blocks of about this many entries (2 MB).
-_BLOCK_ENTRIES = 2**18
 
+# Doubling the quadrature may move no normalised coefficient mu_k / sqrt(k!)
+# by more than this.
 _QUAD_STABLE_TOL = 1e-8
+# Tails kappa_{>m} at or below this fraction of E[sigma^2] are rounding and
+# count as zero: the identity's, zero in exact arithmetic, come out at
+# 1e-15; the smallest real one of a built-in or smooth activation at
+# m_max = 20 (tanh) is 3e-6.
+_TAIL_ROUNDING_RTOL = 1e-12
 
 # Kink locations of the built-in activations (points where quadrature panels
 # must break to keep piecewise-polynomial convergence).
@@ -94,17 +100,19 @@ def _hermite_values(x: np.ndarray, m_max: int) -> np.ndarray:
     return H
 
 
-def _gauss_nodes(activation: Activation, quad_order: int, m_max: int):
+def _gauss_nodes(activation: Activation, quad_order: int, m_max: int, refine: int):
     """Quadrature nodes/weights for integrals against the standard normal.
 
     Smooth activations use Gauss-Hermite directly.  Activations with kinks
     keep Hermite convergence from collapsing to a polynomial rate by breaking
     the line at the kinks and integrating each smooth piece with panelled
-    Gauss-Legendre (Gaussian density folded into the weights).
+    Gauss-Legendre (Gaussian density folded into the weights).  `refine`
+    multiplies the nodes of either rule: the Gauss-Hermite order, or the
+    nodes per panel.
     """
     kinks = _KINKS.get(activation, ()) if not callable(activation) else ()
     if not kinks:
-        x, w = hermegauss(quad_order)
+        x, w = hermegauss(refine * quad_order)
         return x, w / np.sqrt(2.0 * np.pi)
     # Range where |x|^m_max exp(-x^2/2) is below ~1e-18.
     R = math.sqrt(2.0 * (45.0 + m_max * math.log(m_max + 2.0)))
@@ -114,7 +122,7 @@ def _gauss_nodes(activation: Activation, quad_order: int, m_max: int):
         panels.extend(np.linspace(lo, hi, int(np.ceil(hi - lo)) + 1))
     panels = np.unique(np.asarray(panels))
     # Per-panel order must track the polynomial degree being integrated.
-    per_panel = max(24, m_max + 12, quad_order // max(1, len(panels) - 1))
+    per_panel = refine * max(24, m_max + 12, quad_order // max(1, len(panels) - 1))
     t, u = leggauss(per_panel)
     xs, ws = [], []
     for lo, hi in zip(panels[:-1], panels[1:]):
@@ -127,8 +135,8 @@ def _gauss_nodes(activation: Activation, quad_order: int, m_max: int):
     return x, w
 
 
-def _mu_at_order(activation: Activation, m_max: int, quad_order: int):
-    x, w = _gauss_nodes(activation, quad_order, m_max)
+def _mu_at_order(activation: Activation, m_max: int, quad_order: int, refine: int):
+    x, w = _gauss_nodes(activation, quad_order, m_max, refine)
     sig = apply_activation(activation, x)
     H = _hermite_values(x, m_max)
     mu = H @ (w * sig)
@@ -139,27 +147,33 @@ def _mu_at_order(activation: Activation, m_max: int, quad_order: int):
 def hermite_coefficients(activation: Activation, m_max: int, quad_order: int) -> HermiteProfile:
     """Hermite coefficients mu_k = E[sigma(G) He_k(G)] and tails.
 
-    The profile is accepted only if doubling the quadrature order moves no
-    coefficient by more than 1e-8; otherwise NumericalFailure is raised.
+    Stability check: the profile is accepted only if a rule with twice the
+    nodes (twice the Gauss-Hermite order, or twice the nodes per panel) moves
+    no normalised coefficient mu_k / sqrt(k!), the scale of the tails, and
+    not E[sigma^2] by more than 1e-8; otherwise NumericalFailure is raised.
+    The raw mu_k grow like sqrt(k!) (1.6e9 at k = 20), so their own rounding
+    would fail a smooth activation.  The profile holds the finer rule's values.
     Tails are computed as kappa_{>m} = E[sigma^2] - sum_{k<=m} mu_k^2 / k!,
-    which makes the Parseval identity hold by construction.
+    which makes the Parseval identity hold by construction; a tail at
+    rounding level (at most _TAIL_ROUNDING_RTOL E[sigma^2]) is set to zero.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if quad_order < 2 * m_max + 20:
         raise ValueError("quad_order must be at least 2 * m_max + 20")
-    mu_lo, s2_lo = _mu_at_order(activation, m_max, quad_order)
-    mu, sigma_sq = _mu_at_order(activation, m_max, 2 * quad_order)
-    drift = max(np.max(np.abs(mu - mu_lo)), abs(sigma_sq - s2_lo))
-    if drift > _QUAD_STABLE_TOL:
+    mu_lo, s2_lo = _mu_at_order(activation, m_max, quad_order, refine=1)
+    mu, sigma_sq = _mu_at_order(activation, m_max, quad_order, refine=2)
+    factorials = np.array([math.factorial(k) for k in range(m_max + 1)], dtype=np.float64)
+    drift = max(np.max(np.abs(mu - mu_lo) / np.sqrt(factorials)), abs(sigma_sq - s2_lo))
+    if not drift <= _QUAD_STABLE_TOL:  # a nan drift (an overflowing rule) fails too
         raise NumericalFailure(
             f"coefficients moved by {drift:.2e} when doubling the order"
         )
-    factorials = np.array([math.factorial(k) for k in range(m_max + 1)], dtype=np.float64)
     energy = mu**2 / factorials
-    partial = np.cumsum(energy)
-    tails = np.maximum(sigma_sq - partial[:-1], 0.0) if m_max >= 1 else np.empty(0)
-    tail_beyond = max(sigma_sq - float(partial[-1]), 0.0)
+    tails = sigma_sq - np.cumsum(energy)  # kappa_{>0}, ..., kappa_{>m_max}
+    tails[tails <= _TAIL_ROUNDING_RTOL * sigma_sq] = 0.0
+    tail_beyond = float(tails[-1])
+    tails = tails[:-1]
     return HermiteProfile(
         mu=mu,
         tails=tails,
@@ -240,11 +254,6 @@ def smallball_estimate(
     return worst / M
 
 
-def _row_block(columns: int) -> int:
-    """Rows per block of a row-wise moment pass over `columns` samples (about 2 MB)."""
-    return max(1, _BLOCK_ENTRIES // columns)
-
-
 def _moment_scales(rows: np.ndarray, mean_removed: bool = False) -> np.ndarray:
     """`subgaussian_proxy` of each row of `rows` (k x M), a block of rows at a time.
 
@@ -253,7 +262,7 @@ def _moment_scales(rows: np.ndarray, mean_removed: bool = False) -> np.ndarray:
     """
     k, M = rows.shape
     moments = np.empty((len(_GAUSS_ABS_MOMENTS), k))  # one row per q
-    step = _row_block(M)
+    step = lines_per_block(M)
     for lo in range(0, k, step):
         x = rows[lo : lo + step]
         if not mean_removed:
@@ -290,7 +299,7 @@ def _inverse_root_moments(abs_rows: np.ndarray) -> dict[float, float]:
     reciprocal each; a zero entry makes its row's means infinite.
     """
     k, M = abs_rows.shape
-    step = min(_row_block(M), k)
+    step = min(lines_per_block(M), k)
     half, quarter, buf = (np.empty((step, M)) for _ in range(3))
     means = np.empty((len(_FEAT3_POWERS), k))
     with np.errstate(divide="ignore"):
@@ -304,6 +313,26 @@ def _inverse_root_moments(abs_rows: np.ndarray) -> dict[float, float]:
             m[1] = np.mean(np.divide(1.0, h, out=t), axis=1)
             m[2] = np.mean(np.divide(1.0, np.multiply(h, q, out=t), out=t), axis=1)
     return {r: float(m) for r, m in zip(_FEAT3_POWERS, np.max(means, axis=1))}
+
+
+def _row_quantile(rows: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(rows, q, axis=1) (numpy's default linear method) for
+    0 <= q < 1 and at least two columns, bitwise, reordering each row in place.
+
+    The quantile interpolates between the order statistics at lo = floor(q (M-1))
+    and lo + 1.  One partition at lo + 1 puts the larger in place and the
+    smaller is the largest entry left of it; np.quantile partitions at both.
+    The interpolation is numpy's `_lerp`, step for step.
+    """
+    M = rows.shape[1]
+    virtual = (M - 1) * q
+    lo = math.floor(virtual)
+    t = virtual - lo
+    rows.partition(lo + 1, axis=1)
+    below = np.max(rows[:, : lo + 1], axis=1)
+    above = rows[:, lo + 1]
+    diff = above - below
+    return above - diff * (1 - t) if t >= 0.5 else below + diff * t
 
 
 @dataclass(frozen=True)
@@ -337,7 +366,8 @@ def assumption_report(
     coordinates (Psi = K^{-1/2} Phi, written there by `whiten`; row i is the
     projection onto axis i) and the projections onto 64 random directions.
     The moments read the signed rows, then the buffer turns into |projections|
-    in place, and the 25% quantile partitions each row in place last.
+    in place, and the 25% quantile partitions each row in place last
+    (`_row_quantile`).
     """
     rng = rng_from(seed, "weights", 77)
     W = _draw_weights(spec, inst.d, n_samples, rng)
@@ -373,7 +403,7 @@ def assumption_report(
 
     abs_proj = np.abs(probes, out=probes)
     feat3_prime = _inverse_root_moments(abs_proj)
-    eta_hat = float(np.min(np.quantile(abs_proj, 0.25, axis=1, overwrite_input=True)))
+    eta_hat = float(np.min(_row_quantile(abs_proj, 0.25)))
     return AssumptionReport(
         tau_hat=tau_hat,
         eta_hat=eta_hat,

@@ -47,6 +47,12 @@ DEFAULT_MC_SAMPLES = 100_000
 # would otherwise re-stream its right-hand side for every few rows.
 CHUNK_ENTRIES = 2**20
 MIN_CHUNK_ROWS = 128
+# Scratch arrays of the size of a data matrix (the Newton curvature's scaled
+# copy of Phi, the arc-cosine kernel's temporaries, the audit's row-wise moment
+# passes) are built a block of about this many entries (2 MB) at a time.  On
+# the scaling benchmark, blocks of 2^16 / 2^18 / 2^19 / 2^20 (CHUNK_ENTRIES)
+# entries peaked at 64.3 / 65.8 / 67.8 / 71.9 MB resident (2 vCPU, OpenBLAS).
+BLOCK_ENTRIES = 2**18
 
 Activation = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -241,9 +247,13 @@ def featurize(
         raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
     Phi = _activate_product(spec.activation, X, W)
     Z = None
-    if spec.noise_gamma > 0:
+    if spec.noise_gamma > 0 and return_noise:
         Z = _noise_matrix(spec.noise_gamma, X.shape[0], W.shape[0], seed)
-        Phi = Phi + Z
+        Phi += Z
+    elif spec.noise_gamma > 0:
+        # Each row's noise is added as it is drawn, so Z is never held whole.
+        for i in range(X.shape[0]):
+            Phi[i] += row_rng(seed, i, "noise").normal(0.0, spec.noise_gamma, size=W.shape[0])
     return (Phi, Z) if return_noise else Phi
 
 
@@ -259,6 +269,12 @@ def mean_features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray
 def chunk_rows(columns: int) -> int:
     """Rows per chunk of a mean-feature block with `columns` columns."""
     return max(MIN_CHUNK_ROWS, CHUNK_ENTRIES // max(columns, 1))
+
+
+def lines_per_block(width: int) -> int:
+    """Rows (or columns) of `width` entries each per scratch block of about
+    BLOCK_ENTRIES entries; at least one."""
+    return max(1, BLOCK_ENTRIES // max(width, 1))
 
 
 def mean_features_dot(spec: FeatureSpec, X: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -350,20 +366,47 @@ class KernelOracle:
 
 
 def _arc_cosine_kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """E_w[relu(<a, w>) relu(<b, w>)] for w ~ N(0, I/d).
+    """E_w[relu(<a, w>) relu(<b, w>)] for w ~ N(0, I/d), one row per row of A.
 
     Equals ||a|| ||b|| / (2 pi d) * (sin theta + (pi - theta) cos theta) with
-    theta the angle between a and b.
+    theta the angle between a and b.  The output is filled a block of rows
+    (`lines_per_block`) at a time, in place and through three block-sized
+    buffers, so besides the output it holds about 6 MB.  Every entry takes
+    the same operations in the same order as the whole-matrix formula, so the
+    values are bitwise equal to it, but for one case: numpy forms A A^T (B is
+    A, as in `kernel_matrix`) as a SYRK, and row blocks of A as general
+    products, so there they stay bitwise only while A fits one block (at
+    most 512 rows); beyond it they move by rounding.
     """
-    d = A.shape[1]
+    (M, d), n = A.shape, B.shape[0]
     na = np.linalg.norm(A, axis=1)
     nb = np.linalg.norm(B, axis=1)
-    denom = np.outer(na, nb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 0, (A @ B.T) / denom, 0.0)
-    cos = np.clip(cos, -1.0, 1.0)
-    theta = np.arccos(cos)
-    return denom / (2.0 * np.pi * d) * (np.sin(theta) + (np.pi - theta) * cos)
+    out = np.empty((M, n))
+    # A one-row block would take numpy's vector-matrix product, which rounds
+    # differently from the matrix product: a last single row joins the block
+    # before it.
+    edges = [*range(0, M, lines_per_block(n)), M]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    size = max(hi - lo for lo, hi in zip(edges, edges[1:])) if M else 0
+    denom, theta, wave = (np.empty((size, n)) for _ in range(3))
+    for lo, hi in zip(edges, edges[1:]):
+        cos = out[lo:hi]
+        dn, th, wv = denom[: hi - lo], theta[: hi - lo], wave[: hi - lo]
+        np.multiply.outer(na[lo:hi], nb, out=dn)
+        np.matmul(A[lo:hi], B.T, out=cos)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(cos, dn, out=cos)
+        cos[~(dn > 0)] = 0.0
+        np.clip(cos, -1.0, 1.0, out=cos)
+        np.arccos(cos, out=th)
+        np.sin(th, out=wv)
+        np.subtract(np.pi, th, out=th)
+        np.multiply(th, cos, out=th)
+        np.add(wv, th, out=wv)  # sin theta + (pi - theta) cos theta
+        np.divide(dn, 2.0 * np.pi * d, out=dn)
+        np.multiply(dn, wv, out=cos)
+    return out
 
 
 def kernel_matrix(

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .features import lines_per_block
 from .penalty import PenaltySpec, conjugate, link_s, link_s_prime, rho
 
 STATUS_CONVERGED = "converged"
@@ -130,16 +131,39 @@ def dual_gradient(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndar
 
 
 def dual_hessian(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndarray) -> np.ndarray:
-    """hess F = -(1/N) Phi diag(s'(Phi^T lambda)) Phi^T; negative semidefinite."""
+    """hess F = -(1/N) Phi diag(s'(Phi^T lambda)) Phi^T; negative semidefinite.
+
+    Formed by `_curvature`, so it is exactly symmetric; a link with s' < 0
+    somewhere (no convex penalty has one) gives nan entries.
+    """
     Phi, y, lam = (np.asarray(a, dtype=np.float64) for a in (Phi, y, lam))
     _check_dims(Phi, y, lam)
     return -_curvature(Phi, pen, Phi.T @ lam)
 
 
 def _curvature(Phi: np.ndarray, pen: PenaltySpec, u: np.ndarray) -> np.ndarray:
-    """-hess F = (1/N) Phi diag(s'(u)) Phi^T at u = Phi^T lambda, symmetrised; PSD."""
-    H = (Phi * link_s_prime(pen, u)) @ Phi.T / Phi.shape[1]
-    return 0.5 * (H + H.T)
+    """-hess F = (1/N) Phi diag(s'(u)) Phi^T at u = Phi^T lambda; PSD.
+
+    Summed as (1/N) sum_b B_b B_b^T over column blocks B_b = Phi[:, b] sqrt(s'(u_b))
+    of about BLOCK_ENTRIES entries, written into one reused buffer, so the
+    solve holds no second n x N copy of Phi.  numpy runs each B B^T as a
+    SYRK, which does half the flops of the general product and returns an
+    exactly symmetric matrix.  Where s' < 0 (only a broken custom link) the
+    root is nan, and so are H and its trace: `_newton_direction` then
+    returns None and the iteration steps along the gradient.
+    """
+    n, N = Phi.shape
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(link_s_prime(pen, u))
+    cols = lines_per_block(n)
+    buf = np.empty((n, min(cols, N)))
+    H = np.zeros((n, n))
+    for lo in range(0, N, cols):
+        B = buf[:, : min(cols, N - lo)]
+        np.multiply(Phi[:, lo : lo + cols], root[lo : lo + cols], out=B)
+        H += B @ B.T
+    H /= N
+    return H
 
 
 def _range_split(Phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

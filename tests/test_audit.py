@@ -72,6 +72,37 @@ class TestHermiteCoefficients:
         with pytest.raises(ValueError):
             hermite_coefficients("relu", 10, 30)
 
+    @pytest.mark.parametrize("activation", ["identity", np.tanh])
+    def test_stability_check_reads_normalised_coefficients(self, activation):
+        # At the CLI's order 80 and m_max 20 the raw mu_k move by 4.1e-8
+        # (identity) and 0.40 (tanh) between the rules: their scale is
+        # sqrt(k!), 1.6e9 at k = 20.  mu_k / sqrt(k!) move by 1.6e-15 and 1.2e-9.
+        mu_lo, _ = audit._mu_at_order(activation, 20, 80, refine=1)
+        mu_hi, _ = audit._mu_at_order(activation, 20, 80, refine=2)
+        assert np.max(np.abs(mu_hi - mu_lo)) > audit._QUAD_STABLE_TOL
+        prof = hermite_coefficients(activation, 20, 80)
+        np.testing.assert_array_equal(prof.mu, mu_hi)
+
+    @pytest.mark.parametrize("activation", ["relu", "truncated_relu"])
+    def test_refined_rule_has_more_nodes_per_panel(self, activation):
+        # Both orders once gave 32 nodes per panel, so the check compared a
+        # rule with itself; the refined rule doubles them, and the two rules'
+        # coefficients differ by rounding only.
+        x_lo, _ = audit._gauss_nodes(activation, 80, 20, refine=1)
+        x_hi, _ = audit._gauss_nodes(activation, 80, 20, refine=2)
+        assert x_hi.size == 2 * x_lo.size
+        mu_lo, _ = audit._mu_at_order(activation, 20, 80, refine=1)
+        mu_hi, _ = audit._mu_at_order(activation, 20, 80, refine=2)
+        assert not np.array_equal(mu_lo, mu_hi)
+        scale = np.sqrt([float(math.factorial(k)) for k in range(21)])
+        assert np.max(np.abs(mu_hi - mu_lo) / scale) <= 1e-14
+
+    def test_overflowing_rule_fails_the_check(self):
+        # Gauss-Hermite at order 400 overflows to nan weights; a nan drift
+        # must not pass as stable.
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="when doubling"):
+            hermite_coefficients("identity", 60, 200)
+
 
 HE3 = lambda x: (x**3 - 3.0 * x) / np.sqrt(6.0)  # noqa: E731
 
@@ -79,6 +110,17 @@ HE3 = lambda x: (x**3 - 3.0 * x) / np.sqrt(6.0)  # noqa: E731
 class TestHermiteCondition:
     def test_identity_trivially_passes(self):
         prof = hermite_coefficients("identity", 8, 60)
+        rep = hermite_condition_check(prof, ell=1, C0=1.0)
+        assert rep.found and rep.m == 2 and rep.eta_star == 0.0
+
+    @pytest.mark.parametrize("m_max", [8, 20])
+    def test_identity_passes_at_the_cli_order(self, m_max):
+        # At order 80 the identity's kappa_{>1} came out at 1.1e-15 of
+        # rounding, and the search reported no m; a rounding tail is zero.
+        prof = hermite_coefficients("identity", m_max, 80)
+        assert prof.tails[0] == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_array_equal(prof.tails[1:], 0.0)
+        assert prof.tail_beyond == 0.0
         rep = hermite_condition_check(prof, ell=1, C0=1.0)
         assert rep.found and rep.m == 2 and rep.eta_star == 0.0
 
@@ -330,6 +372,27 @@ def _slow_assumption_report(spec, inst, oracle, n_samples, eta, directions=128, 
 
 
 class TestProbeMajorFastPaths:
+    @pytest.mark.parametrize("M", [20_000, 20_001, 1_000, 1_003])
+    def test_row_quantile_matches_numpy(self, M):
+        # One partition per row against np.quantile's two: exactly equal,
+        # ties included.
+        rng = np.random.default_rng(M)
+        rows = np.abs(rng.standard_normal((9, M)))
+        rows[:3] = np.round(rows[:3], 1)  # ties
+        for q in (0.25, 0.5, 0.75, 0.9):
+            want = np.quantile(rows, q, axis=1)
+            got = audit._row_quantile(rows.copy(), q)
+            np.testing.assert_array_equal(got, want)
+
+    def test_row_quantile_takes_numpy_interpolation_branches(self):
+        # numpy interpolates from the upper order statistic when the weight
+        # is at least 1/2; on short uniform rows the two formulas differ in
+        # about 9% of the rows.
+        rows = np.random.default_rng(0).uniform(0.0, 1.0, (1_000, 5))
+        for q in (0.3, 0.45, 0.7):
+            np.testing.assert_array_equal(audit._row_quantile(rows.copy(), q),
+                                          np.quantile(rows, q, axis=1))
+
     @pytest.mark.parametrize("layout", ["samples_major", "probe_major"])
     def test_smallball_matches_identity_products(self, layout):
         rng = np.random.default_rng(6)

@@ -548,6 +548,20 @@ class TestAudit:
         assert doc["assumptions"]["smallball_prob"] <= 0.12
         assert isinstance(doc["event_budget"]["holds"], bool)
 
+    def test_identity_audit_at_the_hermite_defaults(self):
+        # m_max = 20 and quad_order = 80, as `mci audit` runs: the stability
+        # check once read raw coefficients (scale sqrt(k!)) and failed the
+        # identity, and its rounding-level tails hid the trivial pass.
+        cfg = ExperimentConfig(
+            d=5, n=16, p_list=[1.5], N_list=[256], seeds=[0],
+            gamma=1.0, activation="identity", target_activation="identity",
+            M_test=2_000, N_ref=1024,
+        )
+        assert (cfg.m_max, cfg.quad_order) == (20, 80)
+        doc = run_audit(cfg)
+        assert doc["hermite"]["mu"][1] == pytest.approx(1.0, abs=1e-14)
+        assert doc["hermite_condition"]["found"] and doc["hermite_condition"]["m"] == 2
+
     @pytest.mark.parametrize(
         "N, solver, expected",
         [

@@ -119,6 +119,41 @@ class TestFeaturize:
         assert not np.array_equal(featurize(spec, X, W, seed=1), featurize(spec, X, W, seed=2))
 
 
+class TestNoisyFeaturizeInPlace:
+    """The noise is added to Phi in place, row by row as drawn when it is not
+    returned; the slow path is sigma(X W^T) + Z with Z drawn whole."""
+
+    SPEC = FeatureSpec(activation="relu", noise_gamma=0.7)
+
+    def _slow(self, X, W, seed):
+        return mean_features(self.SPEC, X, W) + features._noise_matrix(0.7, len(X), len(W), seed)
+
+    def test_bitwise_equal_to_adding_the_drawn_matrix(self):
+        rng = np.random.default_rng(8)
+        X, W = rng.standard_normal((9, 4)), rng.standard_normal((300, 4))
+        slow = self._slow(X, W, seed=3)
+        np.testing.assert_array_equal(featurize(self.SPEC, X, W, seed=3), slow)
+        Phi, Z = featurize(self.SPEC, X, W, seed=3, return_noise=True)
+        np.testing.assert_array_equal(Phi, slow)
+        np.testing.assert_array_equal(Z, features._noise_matrix(0.7, 9, 300, 3))
+
+    def test_peak_memory(self):
+        # 150 x 20,000 features are 24 MB; Phi = Phi + Z held three such
+        # arrays (73.2 MB traced).
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        X, W = rng.standard_normal((150, 30)), rng.standard_normal((20_000, 30))
+        for return_noise, limit in ((False, 26e6), (True, 50e6)):
+            tracemalloc.start()
+            try:
+                featurize(self.SPEC, X, W, seed=1, return_noise=return_noise)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, f"return_noise={return_noise}: peak {peak / 1e6:.1f} MB"
+
+
 class TestMeanFeature:
     # One covariate row against one weight row: the 1 x 1 batch.
     def test_relu(self):
@@ -265,6 +300,69 @@ class TestKernelMatrix:
         keep = oracle.evals > oracle.floor_used
         V = oracle.evecs[:, keep]
         np.testing.assert_allclose(V.T @ M @ V, np.eye(keep.sum()), atol=1e-8)
+
+
+def _whole_arc_cosine_kernel(A, B):
+    """The arc-cosine kernel as one whole-matrix formula (five to seven M x n
+    temporaries at once): the slow path of the row-blocked one."""
+    d = A.shape[1]
+    na = np.linalg.norm(A, axis=1)
+    nb = np.linalg.norm(B, axis=1)
+    denom = np.outer(na, nb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(denom > 0, (A @ B.T) / denom, 0.0)
+    cos = np.clip(cos, -1.0, 1.0)
+    theta = np.arccos(cos)
+    return denom / (2.0 * np.pi * d) * (np.sin(theta) + (np.pi - theta) * cos)
+
+
+class TestRowBlockedArcCosine:
+    @staticmethod
+    def _rows(seed):
+        """150 training rows and 20,000 test rows (not a multiple of the
+        1747-row block) with zero rows and colinear and antipodal pairs."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((150, 30))
+        X[3] = 0.0
+        X[5], X[6] = 2.5 * X[4], -X[4]
+        T = rng.standard_normal((20_000, 30))
+        T[0] = 0.0
+        T[1], T[2], T[3] = X[4], -3.0 * X[4], X[7]
+        return X, T
+
+    @pytest.mark.parametrize("block_entries", [None, 150 * 7])
+    def test_bitwise_equal_to_the_whole_formula(self, monkeypatch, block_entries):
+        if block_entries is not None:
+            monkeypatch.setattr(features, "BLOCK_ENTRIES", block_entries)
+        X, T = self._rows(4)
+        np.testing.assert_array_equal(features._arc_cosine_kernel(T, X), _whole_arc_cosine_kernel(T, X))
+
+    def test_training_kernel_bitwise_within_one_block(self):
+        # numpy forms X X^T as a SYRK; 150 training rows fit one block, so
+        # the blocked kernel takes the same product.
+        X, _ = self._rows(4)
+        np.testing.assert_array_equal(features._arc_cosine_kernel(X, X), _whole_arc_cosine_kernel(X, X))
+
+    def test_kernel_matrix_and_cross_kernel(self):
+        X, T = self._rows(5)
+        oracle = kernel_matrix(RELU_GAUSS, X, method="arc_cosine")
+        K = _whole_arc_cosine_kernel(X, X)
+        np.testing.assert_array_equal(oracle.K, 0.5 * (K + K.T))
+        np.testing.assert_array_equal(oracle.cross(T[:3000]), _whole_arc_cosine_kernel(T[:3000], X))
+
+    def test_peak_memory(self):
+        # 5000 x 150 outputs are 6 MB: the whole formula held 34.4 MB, the
+        # blocked one holds the output and three 2 MB blocks.
+        import tracemalloc
+
+        X, T = self._rows(6)
+        tracemalloc.start()
+        try:
+            features._arc_cosine_kernel(T[:5000], X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestWhiten:

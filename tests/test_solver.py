@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeWarning, linprog
 
+import mci.features as features
 import mci.solver as solver
 from mci.features import DataSpec, FeatureSpec, RidgeTarget, featurize, sample_data, sample_weights
 from mci.penalty import PenaltySpec, link_s, rho
@@ -119,6 +120,85 @@ class TestDualHessian:
             e[i] = h
             fd[:, i] = (dual_gradient(Phi, y, pen, lam + e) - dual_gradient(Phi, y, pen, lam - e)) / (2 * h)
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-8 * np.linalg.norm(H))
+
+
+class TestBlockedCurvature:
+    """`_curvature` sums SYRK products over column blocks of Phi; the slow
+    path is the one product (Phi * s') @ Phi^T / N it replaced."""
+
+    @staticmethod
+    def _slow(Phi, pen, u):
+        return (Phi * solver.link_s_prime(pen, u)) @ Phi.T / Phi.shape[1]
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("block_entries", [None, 64 * 37])
+    def test_matches_the_unblocked_product(self, monkeypatch, p, block_entries):
+        # n = 64 makes a block 4096 columns at the real size (37 at the
+        # small one); N spans three blocks and a ragged fourth.
+        if block_entries is not None:
+            monkeypatch.setattr(features, "BLOCK_ENTRIES", block_entries)
+        n = 64
+        cols = features.lines_per_block(n)
+        N = 3 * cols + cols // 3
+        pen = PenaltySpec.pnorm(p)
+        Phi, y = _random_problem(n, N, 8, seed=21)
+        u = Phi.T @ np.linalg.solve(Phi @ Phi.T / N + 0.1 * np.eye(n), y)
+        H = solver._curvature(Phi, pen, u)
+        slow = self._slow(Phi, pen, u)
+        assert np.max(np.abs(H - slow)) <= 1e-13 * np.max(np.abs(slow))
+        np.testing.assert_array_equal(H, H.T)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_dual_hessian_takes_the_blocked_path(self, p):
+        pen = PenaltySpec.pnorm(p)
+        Phi, y = _random_problem(40, 9000, 6, seed=22)  # 9000 > 6553 columns a block
+        lam = np.linalg.solve(Phi @ Phi.T / 9000 + 0.1 * np.eye(40), y)
+        H = dual_hessian(Phi, y, pen, lam)
+        np.testing.assert_array_equal(H, -solver._curvature(Phi, pen, Phi.T @ lam))
+        np.testing.assert_array_equal(H, H.T)
+        slow = -self._slow(Phi, pen, Phi.T @ lam)
+        assert np.max(np.abs(H - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+    def test_negative_link_derivative_steps_along_the_gradient(self, monkeypatch):
+        # A broken custom link with s' < 0 at one feature: the root is nan,
+        # so is the curvature's trace, and every iteration takes the gradient
+        # step, with no warning.
+        broken = PenaltySpec.custom(
+            rho=lambda x: np.abs(x) ** 1.5 / 1.5,
+            conjugate=lambda x: np.abs(x) ** 3.0 / 3.0,
+            link=lambda x: np.sign(x) * np.abs(x) ** 2.0,
+            link_prime=lambda x: 2.0 * np.abs(x) * np.where(np.arange(x.size) == 0, -1.0, 1.0),
+            exponents=(3.0, 3.0, 3.0, 3.0),
+        )
+        Phi, y = _random_problem(30, 120, 8, seed=8)
+        assert np.isnan(np.trace(solver._curvature(Phi, broken, np.ones(120))))
+        directions = []
+        armijo = solver._armijo
+
+        def record(Phi, y, pen, lam, u, obj, g, direction):
+            directions.append(direction is g)
+            return armijo(Phi, y, pen, lam, u, obj, g, direction)
+
+        monkeypatch.setattr(solver, "_armijo", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_dual(Phi, y, broken, SolverOptions(max_iters=5))
+        assert sol.iters > 0 and directions and all(directions)
+
+    def test_solve_holds_no_second_copy_of_phi(self):
+        # At n = 150, N = 16384 (Phi is 19.7 MB) the solve held 19.1 MB above
+        # Phi when the curvature formed Phi * s' whole; its blocks hold 2 MB.
+        import tracemalloc
+
+        Phi, y = _random_problem(150, 16384, 30, seed=0)
+        tracemalloc.start()
+        try:
+            sol = solve_dual(Phi, y, PenaltySpec.pnorm(1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSolveDual:
