@@ -40,19 +40,17 @@ NEG_EIG_TOL = 1e-8
 
 DEFAULT_MC_SAMPLES = 100_000
 
-# Mean-feature blocks over many rows (test batches, Monte Carlo cross kernels)
-# are built a row chunk at a time, each chunk near this many entries (8 MB;
-# 2^24-entry chunks first-touched fresh 128 MB arrays each), but never fewer
-# than MIN_CHUNK_ROWS rows: a wide draw (the 100,000-weight cross kernel)
-# would otherwise re-stream its right-hand side for every few rows.
-CHUNK_ENTRIES = 2**20
-MIN_CHUNK_ROWS = 128
 # Scratch arrays of the size of a data matrix (the Newton curvature's scaled
 # copy of Phi, the arc-cosine kernel's temporaries, the audit's row-wise moment
-# passes) are built a block of about this many entries (2 MB) at a time.  On
-# the scaling benchmark, blocks of 2^16 / 2^18 / 2^19 / 2^20 (CHUNK_ENTRIES)
-# entries peaked at 64.3 / 65.8 / 67.8 / 71.9 MB resident (2 vCPU, OpenBLAS).
+# passes, mean-feature chunks over many rows) are built a block of about this
+# many entries (2 MB) at a time.  On the scaling benchmark, blocks of
+# 2^16 / 2^18 / 2^19 / 2^20 entries peaked at 64.3 / 65.8 / 67.8 / 71.9 MB
+# resident (2 vCPU, OpenBLAS): larger fresh blocks churn the heap.
 BLOCK_ENTRIES = 2**18
+# A mean-feature chunk (test batches, Monte Carlo cross kernels) has at least
+# this many rows: a wide draw (the 100,000-weight cross kernel) would
+# otherwise re-stream its right-hand side for every few rows.
+MIN_CHUNK_ROWS = 128
 
 Activation = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -219,14 +217,6 @@ def sample_data(ds: DataSpec, n: int, seed: int) -> Instance:
 # Feature evaluation
 # ---------------------------------------------------------------------------
 
-def _noise_matrix(gamma: float, n: int, N: int, seed: int) -> np.ndarray:
-    """i.i.d. N(0, gamma^2) entries; row i sub-seeded from (seed, 'noise', i)."""
-    Z = np.empty((n, N))
-    for i in range(n):
-        Z[i] = row_rng(seed, i, "noise").normal(0.0, gamma, size=N)
-    return Z
-
-
 def featurize(
     spec: FeatureSpec,
     X: np.ndarray,
@@ -246,14 +236,15 @@ def featurize(
     if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
         raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
     Phi = _activate_product(spec.activation, X, W)
-    Z = None
-    if spec.noise_gamma > 0 and return_noise:
-        Z = _noise_matrix(spec.noise_gamma, X.shape[0], W.shape[0], seed)
-        Phi += Z
-    elif spec.noise_gamma > 0:
-        # Each row's noise is added as it is drawn, so Z is never held whole.
+    Z = np.empty_like(Phi) if spec.noise_gamma > 0 and return_noise else None
+    if spec.noise_gamma > 0:
+        # Each row's noise is added in place as it is drawn, and kept only
+        # when it is returned.
         for i in range(X.shape[0]):
-            Phi[i] += row_rng(seed, i, "noise").normal(0.0, spec.noise_gamma, size=W.shape[0])
+            z = row_rng(seed, i, "noise").normal(0.0, spec.noise_gamma, size=W.shape[0])
+            Phi[i] += z
+            if Z is not None:
+                Z[i] = z
     return (Phi, Z) if return_noise else Phi
 
 
@@ -268,7 +259,7 @@ def mean_features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray
 
 def chunk_rows(columns: int) -> int:
     """Rows per chunk of a mean-feature block with `columns` columns."""
-    return max(MIN_CHUNK_ROWS, CHUNK_ENTRIES // max(columns, 1))
+    return max(MIN_CHUNK_ROWS, lines_per_block(columns))
 
 
 def lines_per_block(width: int) -> int:

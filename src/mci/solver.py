@@ -133,8 +133,8 @@ def dual_gradient(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndar
 def dual_hessian(Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, lam: np.ndarray) -> np.ndarray:
     """hess F = -(1/N) Phi diag(s'(Phi^T lambda)) Phi^T; negative semidefinite.
 
-    Formed by `_curvature`, so it is exactly symmetric; a link with s' < 0
-    somewhere (no convex penalty has one) gives nan entries.
+    Formed by `_curvature`, so it is exactly symmetric, with s' < 0 taken
+    as 0 (no convex penalty has one).
     """
     Phi, y, lam = (np.asarray(a, dtype=np.float64) for a in (Phi, y, lam))
     _check_dims(Phi, y, lam)
@@ -148,13 +148,14 @@ def _curvature(Phi: np.ndarray, pen: PenaltySpec, u: np.ndarray) -> np.ndarray:
     of about BLOCK_ENTRIES entries, written into one reused buffer, so the
     solve holds no second n x N copy of Phi.  numpy runs each B B^T as a
     SYRK, which does half the flops of the general product and returns an
-    exactly symmetric matrix.  Where s' < 0 (only a broken custom link) the
-    root is nan, and so are H and its trace: `_newton_direction` then
-    returns None and the iteration steps along the gradient.
+    exactly symmetric matrix.  s' < 0, which no convex penalty has (rounding
+    in a custom link_prime can give it), is clipped to 0 so that the root is
+    real and H stays PSD; a nan s' makes H nan, and `_newton_direction` then
+    returns None.  A scalar s' (a constant custom link_prime) is broadcast.
     """
     n, N = Phi.shape
-    with np.errstate(invalid="ignore"):
-        root = np.sqrt(link_s_prime(pen, u))
+    s_prime = np.broadcast_to(link_s_prime(pen, u), u.shape)
+    root = np.sqrt(np.maximum(s_prime, 0.0))
     cols = lines_per_block(n)
     buf = np.empty((n, min(cols, N)))
     H = np.zeros((n, n))

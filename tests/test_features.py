@@ -19,6 +19,7 @@ from mci.features import (
     sample_weights,
     whiten,
 )
+from mci.seeding import row_rng
 
 RELU_GAUSS = FeatureSpec(activation="relu", weight_dist="gaussian_isotropic")
 
@@ -120,22 +121,25 @@ class TestFeaturize:
 
 
 class TestNoisyFeaturizeInPlace:
-    """The noise is added to Phi in place, row by row as drawn when it is not
-    returned; the slow path is sigma(X W^T) + Z with Z drawn whole."""
+    """The noise is added to Phi in place, row by row as drawn, and kept only
+    when it is returned; the slow path is sigma(X W^T) + Z with Z drawn whole."""
 
     SPEC = FeatureSpec(activation="relu", noise_gamma=0.7)
 
-    def _slow(self, X, W, seed):
-        return mean_features(self.SPEC, X, W) + features._noise_matrix(0.7, len(X), len(W), seed)
+    @staticmethod
+    def _noise_matrix(gamma, n, N, seed):
+        # The noise stream drawn whole: row i from row_rng(seed, i, "noise").
+        return np.stack([row_rng(seed, i, "noise").normal(0.0, gamma, size=N) for i in range(n)])
 
     def test_bitwise_equal_to_adding_the_drawn_matrix(self):
         rng = np.random.default_rng(8)
         X, W = rng.standard_normal((9, 4)), rng.standard_normal((300, 4))
-        slow = self._slow(X, W, seed=3)
+        Z_slow = self._noise_matrix(0.7, 9, 300, 3)
+        slow = mean_features(self.SPEC, X, W) + Z_slow
         np.testing.assert_array_equal(featurize(self.SPEC, X, W, seed=3), slow)
         Phi, Z = featurize(self.SPEC, X, W, seed=3, return_noise=True)
         np.testing.assert_array_equal(Phi, slow)
-        np.testing.assert_array_equal(Z, features._noise_matrix(0.7, 9, 300, 3))
+        np.testing.assert_array_equal(Z, Z_slow)
 
     def test_peak_memory(self):
         # 150 x 20,000 features are 24 MB; Phi = Phi + Z held three such
@@ -268,9 +272,9 @@ class TestKernelMatrix:
         inst = sample_data(ds, 8, seed=9)
         oracle = kernel_matrix(RELU_GAUSS, inst.X, method="monte_carlo", mc_samples=5_000, seed=3)
         X_test = sample_covariates(ds, 300, seed=4)
-        monkeypatch.setattr(features, "CHUNK_ENTRIES", 300 * 5_000)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 300 * 5_000)
         whole = oracle.mean_cross(X_test)
-        monkeypatch.setattr(features, "CHUNK_ENTRIES", 3 * 5_000)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 3 * 5_000)
         rows, mean_features_ = [], features.mean_features
 
         def record(spec, X, W):

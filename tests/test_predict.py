@@ -54,7 +54,7 @@ class TestPredictor:
         # 16-row chunks, so the 50 test rows span four of them.
         import mci.features as features
 
-        monkeypatch.setattr(features, "CHUNK_ENTRIES", 16 * 30)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 16 * 30)
         monkeypatch.setattr(features, "MIN_CHUNK_ROWS", 16)
         rng = np.random.default_rng(3)
         W = sample_weights(SPEC, 5, 30, seed=3)

@@ -159,19 +159,50 @@ class TestBlockedCurvature:
         slow = -self._slow(Phi, pen, Phi.T @ lam)
         assert np.max(np.abs(H - slow)) <= 1e-13 * np.max(np.abs(slow))
 
-    def test_negative_link_derivative_steps_along_the_gradient(self, monkeypatch):
-        # A broken custom link with s' < 0 at one feature: the root is nan,
-        # so is the curvature's trace, and every iteration takes the gradient
-        # step, with no warning.
-        broken = PenaltySpec.custom(
+    def test_constant_link_derivative_is_broadcast(self):
+        # A custom quadratic link whose link_prime returns a scalar: s' comes
+        # back 0-d and is broadcast over the columns, as the unblocked
+        # product broadcast it.
+        quadratic = PenaltySpec.custom(
+            rho=lambda x: x**2 / 2,
+            conjugate=lambda x: x**2 / 2,
+            link=lambda x: x,
+            link_prime=lambda x: 1.0,
+            exponents=(2.0, 2.0, 2.0, 2.0),
+        )
+        Phi, y = _random_problem(40, 9000, 6, seed=23)  # 9000 > 6553 columns a block
+        u = Phi.T @ np.ones(40)
+        H = solver._curvature(Phi, quadratic, u)
+        slow = self._slow(Phi, quadratic, u)
+        assert np.max(np.abs(H - slow)) <= 1e-13 * np.max(np.abs(slow))
+        np.testing.assert_array_equal(H, H.T)
+
+    @staticmethod
+    def _signed_link(sign_of_first):
+        # s'(x) = 2|x|, with the first feature's entry multiplied by
+        # `sign_of_first`: a negative value stands for rounding in a custom
+        # link_prime.
+        return PenaltySpec.custom(
             rho=lambda x: np.abs(x) ** 1.5 / 1.5,
             conjugate=lambda x: np.abs(x) ** 3.0 / 3.0,
             link=lambda x: np.sign(x) * np.abs(x) ** 2.0,
-            link_prime=lambda x: 2.0 * np.abs(x) * np.where(np.arange(x.size) == 0, -1.0, 1.0),
+            link_prime=lambda x: 2.0 * np.abs(x) * np.where(np.arange(x.size) == 0, sign_of_first, 1.0),
             exponents=(3.0, 3.0, 3.0, 3.0),
         )
-        Phi, y = _random_problem(30, 120, 8, seed=8)
-        assert np.isnan(np.trace(solver._curvature(Phi, broken, np.ones(120))))
+
+    def test_negative_link_derivative_is_clipped_to_zero(self):
+        Phi, _ = _random_problem(30, 120, 8, seed=8)
+        u = Phi.T @ np.ones(30)
+        H = solver._curvature(Phi, self._signed_link(-1.0), u)
+        clipped = self._slow(Phi, self._signed_link(0.0), u)
+        assert np.max(np.abs(H - clipped)) <= 1e-13 * np.max(np.abs(clipped))
+        assert np.linalg.eigvalsh(H)[0] >= -1e-12 * np.trace(H)
+
+    def test_slightly_negative_link_derivative_keeps_newton_steps(self, monkeypatch):
+        # One s' entry at -1e-6 of its size: clipped, H stays PSD and every
+        # step is a Newton step, so the solve converges (25 iterations) as it
+        # did with the unblocked product.  A nan root would have made every
+        # step a gradient step and run out the 500 iterations.
         directions = []
         armijo = solver._armijo
 
@@ -180,10 +211,12 @@ class TestBlockedCurvature:
             return armijo(Phi, y, pen, lam, u, obj, g, direction)
 
         monkeypatch.setattr(solver, "_armijo", record)
+        Phi, y = _random_problem(30, 120, 8, seed=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve_dual(Phi, y, broken, SolverOptions(max_iters=5))
-        assert sol.iters > 0 and directions and all(directions)
+            sol = solve_dual(Phi, y, self._signed_link(-1e-6))
+        assert sol.converged
+        assert directions and not any(directions)
 
     def test_solve_holds_no_second_copy_of_phi(self):
         # At n = 150, N = 16384 (Phi is 19.7 MB) the solve held 19.1 MB above
