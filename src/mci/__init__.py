@@ -18,7 +18,6 @@ from .audit import (
     hermite_condition_check,
     smallball_estimate,
     subgaussian_proxy,
-    theorem_rate_budget,
 )
 from .experiments import (
     ExperimentConfig,

@@ -1,6 +1,6 @@
 """Empirical audits of the assumptions behind dual concentration.
 
-Four groups of checks:
+Three groups of checks:
 
 * Hermite analysis of the activation: coefficients mu_k against probabilists'
   polynomials (E[He_k(G) He_j(G)] = k! delta_jk), spectral tails
@@ -11,7 +11,6 @@ Four groups of checks:
   concentration, dual-gradient concentration, dual curvature, and
   infinite-width continuity, combined into the computable distance bound
   lhs <= (eps1 + 2 K eps2 / beta) s(||lambda_hat||_K).
-* The theorem-shaped rate factor for (tau, eta, penalty, n, N).
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ from .features import (
     sample_covariates,
     whiten,
 )
-from .penalty import PenaltySpec, link_s, link_s_prime
+from .penalty import PenaltySpec, link_s
 from .seeding import rng_from
-from .solver import Solution, dual_gradient
+from .solver import Solution, _curvature, dual_gradient
 
 # Gaussian absolute moments E|G|^q for the moment-ratio proxy.
 _GAUSS_ABS_MOMENTS = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -508,11 +507,7 @@ def event_audit(
     Psi = whiten(oracle, finite.Phi)
     N = finite.Phi.shape[1]
     U = finite.Phi.T @ grid  # N x G: <phi_j, lambda> at every grid point
-    min_curv = math.inf
-    for g in range(G):
-        sp = link_s_prime(pen, U[:, g])
-        B = (Psi * sp) @ Psi.T / N
-        min_curv = min(min_curv, float(np.linalg.eigvalsh(0.5 * (B + B.T))[0]))
+    min_curv = min(float(np.linalg.eigvalsh(_curvature(Psi, pen, U[:, g]))[0]) for g in range(G))
     beta = min_curv * s_arg / s_norm
 
     # E1 / continuity / lhs share one covariate batch.
@@ -557,40 +552,6 @@ def event_audit(
         holds=holds,
         eps2_over_beta=eps2 / beta if beta > 0 else math.inf,
     )
-
-
-# ---------------------------------------------------------------------------
-# Rate budget
-# ---------------------------------------------------------------------------
-
-def theorem_rate_budget(
-    tau: float,
-    eta: float,
-    pen: PenaltySpec,
-    n: int,
-    N: int,
-    delta: float = 0.1,
-) -> float:
-    """Shape of the convergence-rate bound, with untracked constants set to 1.
-
-    Returns M(delta, tau, eta) * (sqrt(n log N / N) v (n log N)^{Q/2} / N)
-    where M = tau^{Q+2+(2-q'+delta)_+} / eta^{q v 3} * (tau^{Q-2} v eta^{Q'-2}).
-    """
-    if not all(math.isfinite(e) for e in pen.exponents):
-        raise ValueError("rate budget needs finite growth exponents (p > 1)")
-    if tau <= 0 or eta <= 0:
-        raise ValueError("tau and eta must be positive")
-    Q1, Q2, q1, q2 = pen.exponents
-    Q, Qp = max(Q1, Q2), min(Q1, Q2)
-    q, qp = max(q1, q2), min(q1, q2)
-    m_factor = (
-        tau ** (Q + 2.0 + max(2.0 - qp + delta, 0.0))
-        / eta ** max(q, 3.0)
-        * max(tau ** (Q - 2.0), eta ** (Qp - 2.0))
-    )
-    nlog = n * math.log(N)
-    rate = max(math.sqrt(nlog / N), nlog ** (Q / 2.0) / N)
-    return m_factor * rate
 
 
 def as_json_dict(report) -> dict:

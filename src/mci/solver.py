@@ -9,9 +9,10 @@ whose gradient y - (1/N) Phi s(Phi^T lambda) is exactly the interpolation
 residual, so convergence is measured on the gradient alone.  A damped Newton
 ascent with Armijo backtracking handles all p > 1; the l1 case (basis
 pursuit, a linear program) follows the lasso homotopy to its end, in numpy
-alone.  Both first take one eigendecomposition of the Gram matrix
-G = Phi Phi^T / N, which tests y against range(Phi) at every width and gives
-the Newton start G^+ y and the rank of Phi.  For every outcome of
+alone, and certifies the end point by LP duality from the final support.
+Both first take one eigendecomposition of the Gram matrix G = Phi Phi^T / N,
+which tests y against range(Phi) at every width and gives the Newton start
+G^+ y and the rank of Phi.  For every outcome of
 well-formed input either path returns one `Solution` record whose status is
 one of the STATUS_* strings (only bad input raises ValueError); `fit` runs
 whichever path applies.
@@ -35,15 +36,13 @@ STATUS_INFEASIBLE = "infeasible"
 
 L1_RESIDUAL_RTOL = 1e-8
 
-# The l1 homotopy: its step cap per row of Phi (n = 150 takes 290-470 steps),
-# the steps between exact refreshes of its running state and the tie margin
-# at the end of the path (relative to the starting tau).  A column joins only
-# when its squared distance from the support's span exceeds
-# HOMOTOPY_DEPENDENT_RTOL times its squared norm (every join on the fig1 grid
-# and the N_ref references cleared 5.7e-7).  The end point is certified when
-# its duality gap is at most L1_GAP_RTOL times ||a||_1.
+# The l1 homotopy: its step cap per row of Phi (n = 150 takes 290-470 steps)
+# and the tie margin at the end of the path (relative to the starting tau).
+# A column joins only when its squared distance from the support's span
+# exceeds HOMOTOPY_DEPENDENT_RTOL times its squared norm (every join on the
+# fig1 grid and the N_ref references cleared 5.7e-7).  The end point is
+# certified when its duality gap is at most L1_GAP_RTOL times ||a||_1.
 HOMOTOPY_STEPS_PER_ROW = 20
-HOMOTOPY_REFRESH = 32
 HOMOTOPY_TIE_RTOL = 1e-12
 HOMOTOPY_DEPENDENT_RTOL = 1e-10
 L1_GAP_RTOL = 1e-9
@@ -328,10 +327,11 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
     y is first tested against range(Phi) (`_range_split`): when its distance
     from it exceeds the residual tolerance, the status is "infeasible" with
     that distance as `residual`, and the path is never entered.  Otherwise
-    `_homotopy` follows the lasso path to tau = 0 and re-solves the final
-    support.  The result is "converged" only when the path's optimality
-    certificate holds and the residual meets the tolerance; a capped path or
-    a failed certificate is "max_iters" with the final point's residual.
+    `_homotopy` follows the lasso path to tau = 0, re-solves the final
+    support and certifies the end point once, from that support's dual
+    point.  The result is "converged" only when the certificate holds and
+    the residual meets the tolerance; a capped path or a failed certificate
+    is "max_iters" with the final point's residual.
     `iters` stays 0: the path's steps are not Newton iterations.
 
     At most rank(Phi) coordinates of the optimum are nonzero (a vertex of the
@@ -368,10 +368,9 @@ def _homotopy(B: np.ndarray, b: np.ndarray, rank: int) -> tuple[np.ndarray, bool
     (Osborne, Presnell & Turlach 2000; Donoho & Tsaig 2008.)
 
     - M is kept by O(k^2) bordering updates in preallocated buffers (the
-      last slot moves into a dropped one), d gets one step of iterative
-      refinement, and every HOMOTOPY_REFRESH steps M and c are re-formed
-      exactly; without refinement the final certificate fails on most
-      fig1-size problems.
+      last slot moves into a dropped one).  The path only has to find the
+      final support: the end point and its certificate are formed from B_S
+      itself, so the rounding that M, d and c gather along the way drops out.
     - A dropped column sits on the boundary c_j = sigma_j tau: only that
       zero root is masked, so it can rejoin with the opposite sign.
     - The end of the path wins ties: a coefficient whose drop falls at
@@ -381,13 +380,15 @@ def _homotopy(B: np.ndarray, b: np.ndarray, rank: int) -> tuple[np.ndarray, bool
       B_S singular.
 
     The final segment certifies optimality by LP duality.  Its dual point
-    lambda = B_S d has B_S^T lambda = sigma, so lambda / max|v| is feasible
-    for max <b, lambda> s.t. |B^T lambda| <= 1, and <b, lambda> / max|v|
-    bounds the optimum from below.  The end point a_S, re-solved on S, is
-    certified when ||a_S||_1 exceeds that bound by at most L1_GAP_RTOL
-    relative: so it is when max|v| <= 1 + L1_GAP_RTOL and a_S keeps the
-    signs sigma, up to rounding-size coefficients of either sign where the
-    optimum has a zero.  A path capped at HOMOTOPY_STEPS_PER_ROW * n steps
+    lambda, the minimum-norm solution of B_S^T lambda = sigma over all k
+    slots (a coefficient dropped by the tie rule keeps its slot), is in
+    exact arithmetic the path's B_S d; lambda / max|B^T lambda| is feasible
+    for max <b, lambda> s.t. |B^T lambda| <= 1, so <b, lambda> /
+    max|B^T lambda| bounds the optimum from below.  The end point a_S,
+    re-solved on S, is certified when ||a_S||_1 exceeds that bound by at
+    most L1_GAP_RTOL relative: so it is when S and sigma are the optimum's,
+    up to rounding-size coefficients of either sign where the optimum has a
+    zero.  A path capped at HOMOTOPY_STEPS_PER_ROW * n steps
     is not certified.
     """
     n, N = B.shape
@@ -453,13 +454,8 @@ def _homotopy(B: np.ndarray, b: np.ndarray, rank: int) -> tuple[np.ndarray, bool
     ended = False
     masked = -1  # entry of c2 at the boundary where the last drop left its column
     with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(HOMOTOPY_STEPS_PER_ROW * n):
-            if step and step % HOMOTOPY_REFRESH == 0:
-                M[:k, :k] = np.linalg.inv(BS[:k] @ BS[:k].T)
-                np.matmul(B.T, b - BS.T @ aS, out=c2[:N])
-                np.negative(c2[:N], out=c2[N:])
+        for _ in range(HOMOTOPY_STEPS_PER_ROW * n):
             d = M @ sigma
-            d += M @ (sigma - BS @ (BS.T @ d))
             np.matmul(B.T, BS.T @ d, out=v2[:N])
             np.negative(v2[:N], out=v2[N:])
 
@@ -509,12 +505,13 @@ def _homotopy(B: np.ndarray, b: np.ndarray, rank: int) -> tuple[np.ndarray, bool
             a_end = np.linalg.solve(B_end, b)
         else:
             a_end = np.linalg.lstsq(B_end, b, rcond=None)[0]
+        lam = np.linalg.lstsq(BS[:k], sigma[:k], rcond=None)[0]  # B_S^T lam = sigma
     except np.linalg.LinAlgError:  # B_end singular to working precision
         a[S[:k]] = aS[:k]
         return a, False
     a[S[:k][keep]] = a_end
     l1 = float(np.sum(np.abs(a_end)))
-    bound = float(b @ (BS.T @ d)) / float(np.max(np.abs(v2)))
+    bound = float(b @ lam) / float(np.max(np.abs(B.T @ lam)))
     return a, l1 - bound <= L1_GAP_RTOL * l1
 
 

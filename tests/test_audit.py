@@ -1,4 +1,4 @@
-"""Hermite pipeline, assumption proxies, event budget, rate shape."""
+"""Hermite pipeline, assumption proxies, event budget."""
 
 import math
 
@@ -15,7 +15,6 @@ from mci.audit import (
     hermite_condition_check,
     smallball_estimate,
     subgaussian_proxy,
-    theorem_rate_budget,
 )
 from mci.errors import NotConverged, NumericalFailure
 from mci.features import (
@@ -423,31 +422,3 @@ class TestProbeMajorFastPaths:
             assert got[r] == pytest.approx(np.max(np.mean(rows**r, axis=1)), rel=1e-12)
         rows[60, 17] = 0.0
         assert all(v == np.inf for v in audit._inverse_root_moments(rows).values())
-
-
-class TestRateBudget:
-    def test_p2_value(self):
-        # sqrt(100 log(1e4) / 1e4) with unit constants.
-        val = theorem_rate_budget(1.0, 1.0, PenaltySpec.pnorm(2.0), 100, 10_000)
-        assert val == pytest.approx(math.sqrt(100 * math.log(10_000) / 10_000), rel=1e-12)
-
-    def test_quadruple_width_halves(self):
-        pen = PenaltySpec.pnorm(2.0)
-        v1 = theorem_rate_budget(1.0, 1.0, pen, 100, 10_000)
-        v4 = theorem_rate_budget(1.0, 1.0, pen, 100, 40_000)
-        assert abs(v4 / v1 - 0.5) <= 0.1  # up to the log factor
-
-    def test_diverges_as_p_drops(self):
-        vals = [
-            theorem_rate_budget(1.0, 0.5, PenaltySpec.pnorm(p), 100, 10_000)
-            for p in (2.0, 1.5, 1.2, 1.05)
-        ]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_l1_rejected(self):
-        with pytest.raises(ValueError, match="finite growth exponents"):
-            theorem_rate_budget(1.0, 1.0, PenaltySpec.pnorm(1.0), 100, 10_000)
-
-    def test_positive_scale_required(self):
-        with pytest.raises(ValueError):
-            theorem_rate_budget(0.0, 1.0, PenaltySpec.pnorm(2.0), 100, 10_000)

@@ -10,6 +10,7 @@ from scipy.optimize import OptimizeWarning, linprog
 
 import mci.features as features
 import mci.solver as solver
+from mci.experiments import ExperimentConfig
 from mci.features import DataSpec, FeatureSpec, RidgeTarget, featurize, sample_data, sample_weights
 from mci.penalty import PenaltySpec, link_s, rho
 from mci.solver import (
@@ -424,6 +425,18 @@ class TestSolveL1:
     @pytest.mark.parametrize("n, N, d, seed", [(10, 50, 4, 16), (150, 256, 30, 1), (150, 1024, 30, 2)])
     def test_matches_linprog(self, n, N, d, seed):
         self._assert_same_vertex(*_random_problem(n, N, d, seed))
+
+    @pytest.mark.parametrize("seed", [12065, 17016])
+    def test_fig1_workload_instances(self, seed):
+        # The fig1 benchmark workload's p = 1, N = 256 instance at these
+        # seeds ends on the LP optimum, but a certificate taken from the
+        # path's last direction missed L1_GAP_RTOL there (gaps 1.2e-9 and
+        # 3.3e-9): the final support's own dual point certifies it.
+        cfg = ExperimentConfig()  # the workload's d = 30, n = 150, ReLU data and features
+        spec, ds = cfg.feature_spec(), cfg.data_spec()
+        inst = sample_data(ds, cfg.n, seed)
+        W = sample_weights(spec, cfg.d, 512, seed)[:256]  # the sweep's prefix of its widest draw
+        self._assert_same_vertex(featurize(spec, inst.X, W, seed=seed), inst.y)
 
     @pytest.mark.parametrize("n, N, d, seed", [(10, 50, 4, 16), (150, 512, 30, 0)])
     def test_same_vertex_as_with_presolve(self, n, N, d, seed):
