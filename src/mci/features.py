@@ -42,14 +42,17 @@ DEFAULT_MC_SAMPLES = 100_000
 
 # Scratch arrays of the size of a data matrix (the Newton curvature's scaled
 # copy of Phi, the arc-cosine kernel's temporaries, the audit's row-wise moment
-# passes, mean-feature chunks over many rows) are built a block of about this
-# many entries (2 MB) at a time.  On the scaling benchmark, blocks of
-# 2^16 / 2^18 / 2^19 / 2^20 entries peaked at 64.3 / 65.8 / 67.8 / 71.9 MB
-# resident (2 vCPU, OpenBLAS): larger fresh blocks churn the heap.
+# passes) are built a block of about this many entries (2 MB at float64) at a
+# time.  On the scaling benchmark, blocks of 2^16 / 2^18 / 2^19 / 2^20 entries
+# peaked at 64.3 / 65.8 / 67.8 / 71.9 MB resident (2 vCPU, OpenBLAS): larger
+# fresh blocks churn the heap.
 BLOCK_ENTRIES = 2**18
-# A mean-feature chunk (test batches, Monte Carlo cross kernels) has at least
-# this many rows: a wide draw (the 100,000-weight cross kernel) would
-# otherwise re-stream its right-hand side for every few rows.
+# A mean-feature chunk (test batches, Monte Carlo cross kernels) has
+# BLOCK_ENTRIES entries too, but at least this many rows: a wide draw (the
+# 100,000-weight cross kernel) would otherwise re-stream its right-hand side
+# for every few rows.  Above 2048 columns the floor sets the size: at the
+# 16,384-column reference a chunk is 2^21 entries, 16 MB at float64 or 8 MB
+# in the float32 product of `Predictor.predict`.
 MIN_CHUNK_ROWS = 128
 
 Activation = Union[str, Callable[[np.ndarray], np.ndarray]]
@@ -63,7 +66,8 @@ def apply_activation(activation: Activation, u: np.ndarray) -> np.ndarray:
     if activation == TRUNCATED_RELU:
         return np.clip(u, 0.0, 1.0)
     if activation == IDENTITY:
-        return np.asarray(u, dtype=np.float64)
+        u = np.asarray(u)
+        return u if u.dtype == np.float32 else u.astype(np.float64, copy=False)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -249,9 +253,12 @@ def featurize(
 
 
 def mean_features(spec: FeatureSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Batch mean features sigma(X W^T), shape (rows of X) x (rows of W)."""
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
+    """Batch mean features sigma(X W^T), shape (rows of X) x (rows of W); in
+    float32 when X and W are both float32 (a custom activation's output is
+    still cast to float64), else in float64."""
+    X, W = np.asarray(X), np.asarray(W)
+    dtype = np.float32 if X.dtype == W.dtype == np.float32 else np.float64
+    X, W = X.astype(dtype, copy=False), W.astype(dtype, copy=False)
     if X.shape[1] != W.shape[1]:
         raise ValueError(f"X {X.shape} and W {W.shape} are not compatible")
     return _activate_product(spec.activation, X, W)
@@ -270,7 +277,8 @@ def lines_per_block(width: int) -> int:
 
 def mean_features_dot(spec: FeatureSpec, X: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sigma(X W^T) @ B, built a row chunk (see `chunk_rows`) at a time, so the
-    (rows of X) x (rows of W) block is never held whole."""
+    (rows of X) x (rows of W) block is never held whole.  The output is
+    float64; with X, W and B all float32 each chunk runs in float32."""
     rows = chunk_rows(W.shape[0])
     out = np.empty((X.shape[0],) + B.shape[1:])
     for lo in range(0, X.shape[0], rows):

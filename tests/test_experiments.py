@@ -384,19 +384,39 @@ STACKED_CASES = {
 }
 
 
+def _predict_float64(self, X_test):
+    """The float64 slow path of `Predictor.predict`: the same chunked pass on
+    float64 arrays.  Patched in, it makes two evaluation routes that sum the
+    same terms agree to rounding."""
+    from mci.features import mean_features_dot
+
+    X_test = np.asarray(X_test, dtype=np.float64)
+    return mean_features_dot(self.spec, X_test, self.W, self.a) / self.W.shape[0]
+
+
 class TestSweepEngine:
     @pytest.mark.parametrize("experiment", sorted(ENGINE_CASES))
-    def test_rows_match_per_row_evaluation(self, experiment):
+    def test_rows_match_per_row_evaluation(self, experiment, monkeypatch):
+        # On the float64 slow path the engine's rows are the per-row path's to
+        # 1e-12; the float32 pass stays within 1e-6 relative of them.
+        from mci.predict import Predictor
+
         runner, raw = ENGINE_CASES[experiment]
         cfg = ExperimentConfig.from_dict(raw)
         res = runner(cfg)
-        slow_rows, slow_residuals = _rows_evaluated_per_row(cfg, experiment)
+        with monkeypatch.context() as m:
+            m.setattr(Predictor, "predict", _predict_float64)
+            exact = runner(cfg)
+            slow_rows, slow_residuals = _rows_evaluated_per_row(cfg, experiment)
         assert sorted((r.p, r.N, r.seed) for r in res.rows) == sorted(slow_rows)
-        for r in res.rows:
+        for r, e in zip(res.rows, exact.rows):
             te, dist, iters, ok = slow_rows[(r.p, r.N, r.seed)]
-            assert (r.solver_iters, r.converged) == (iters, ok)
-            assert r.test_error == pytest.approx(te, rel=1e-12, nan_ok=True)
-            assert r.l2_to_ref == pytest.approx(dist, rel=1e-12, nan_ok=True)
+            assert (e.p, e.N, e.seed) == (r.p, r.N, r.seed)
+            assert (r.solver_iters, r.converged) == (e.solver_iters, e.converged) == (iters, ok)
+            assert e.test_error == pytest.approx(te, rel=1e-12, nan_ok=True)
+            assert e.l2_to_ref == pytest.approx(dist, rel=1e-12, nan_ok=True)
+            assert r.test_error == pytest.approx(te, rel=1e-6, nan_ok=True)
+            assert r.l2_to_ref == pytest.approx(dist, rel=1e-6, nan_ok=True)
         if experiment == "latent":
             got = {k: v["values"] for k, v in res.extras["noise_residuals"].items()}
             assert got.keys() == slow_residuals.keys()
@@ -442,7 +462,9 @@ class TestSweepEngine:
     @pytest.mark.parametrize("experiment", sorted(STACKED_CASES))
     def test_stacked_pass_matches_per_row_predict(self, experiment, monkeypatch):
         # Each converged row's value column from the seed's one pass over its
-        # widest draw equals a fresh Predictor on the row's own prefix W_max[:N].
+        # widest draw equals a fresh Predictor on the row's own prefix W_max[:N]:
+        # to 1e-12 on the float64 slow path, and within 1e-6 relative of it in
+        # the float32 pass.
         from mci.predict import Predictor
         from mci.solver import STATUS_CONVERGED
 
@@ -471,13 +493,25 @@ class TestSweepEngine:
         monkeypatch.setattr(experiments, "sample_weights", record_draw)
         monkeypatch.setattr(experiments, "fit", record_fit)
         monkeypatch.setattr(experiments, "test_error", record_score)
-        res = runner(cfg)
-        assert len(draws) == len(cfg.seeds)
-        assert len(fits) == len(scored) == sum(r.converged for r in res.rows) > 0
+
+        def recorded_run():
+            for recorded in (draws, fits, scored):
+                recorded.clear()
+            res = runner(cfg)
+            assert len(draws) == len(cfg.seeds)
+            assert len(fits) == len(scored) == sum(r.converged for r in res.rows) > 0
+            return list(zip(fits, scored))
+
+        fast = recorded_run()
+        with monkeypatch.context() as m:
+            m.setattr(Predictor, "predict", _predict_float64)
+            exact = recorded_run()
+        assert len(fast) == len(exact)
         spec = cfg.feature_spec()
-        for (W_max, N, a), (values, X_test) in zip(fits, scored):
-            slow = Predictor(W=W_max[:N], a=a, spec=spec).predict(X_test)
-            assert np.linalg.norm(values - slow) <= 1e-12 * np.linalg.norm(slow)
+        for ((W_max, N, a), (values, X_test)), (_, (exact_values, _)) in zip(fast, exact):
+            slow = _predict_float64(Predictor(W=W_max[:N], a=a, spec=spec), X_test)
+            assert np.linalg.norm(exact_values - slow) <= 1e-12 * np.linalg.norm(slow)
+            assert np.linalg.norm(values - slow) <= 1e-6 * np.linalg.norm(slow)
 
     def test_test_batch_drawn_and_scored_once_per_seed(self, monkeypatch):
         # One covariate draw and one target evaluation of M_test rows per seed,

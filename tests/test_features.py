@@ -173,6 +173,37 @@ class TestMeanFeature:
         assert mean_features(spec, np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]])) == 0.5
 
 
+class TestMeanFeatureDtype:
+    # float32 X and W give a float32 product; any other input runs in float64,
+    # bitwise as the float64 formula.  A custom activation returns float64.
+    FORMULAS = {
+        "relu": lambda U: np.maximum(U, 0.0),
+        "truncated_relu": lambda U: np.clip(U, 0.0, 1.0),
+        "identity": lambda U: U,
+        np.tanh: np.tanh,
+    }
+
+    @pytest.mark.parametrize("activation", list(FORMULAS))
+    @pytest.mark.parametrize("x32, w32", [(False, False), (True, False), (False, True), (True, True)])
+    def test_dtype_follows_the_inputs(self, activation, x32, w32):
+        rng = np.random.default_rng(12)
+        X, W = 2.0 * rng.standard_normal((40, 6)), rng.standard_normal((30, 6)) / np.sqrt(6)
+        X, W = X.astype(np.float32) if x32 else X, W.astype(np.float32) if w32 else W
+        got = mean_features(FeatureSpec(activation=activation), X, W)
+        in_float32 = x32 and w32
+        assert got.dtype == (np.float32 if in_float32 and not callable(activation) else np.float64)
+        U = X @ W.T if in_float32 else X.astype(np.float64) @ W.astype(np.float64).T
+        np.testing.assert_array_equal(got, self.FORMULAS[activation](U).astype(got.dtype))
+
+    def test_identity_activation_keeps_float32_and_casts_the_rest(self):
+        u32 = np.array([1.5, -2.0], dtype=np.float32)
+        assert apply_activation("identity", u32) is u32
+        u64 = np.array([1.5, -2.0])
+        assert apply_activation("identity", u64) is u64
+        ints = apply_activation("identity", np.array([1, -2]))
+        assert ints.dtype == np.float64 and ints.tolist() == [1.0, -2.0]
+
+
 class TestSampleData:
     def test_sphere_radius(self):
         ds = DataSpec(d=30, target=RidgeTarget.random(30, 0))
@@ -295,6 +326,39 @@ class TestKernelMatrix:
         np.testing.assert_allclose(same, oracle.K, atol=1e-12)
         fresh = oracle.cross(X + 1e-9)  # perturbed rows share no noise
         np.testing.assert_allclose(fresh, X @ X.T / 3, atol=1e-6)
+
+    @pytest.mark.parametrize("spec, method", [
+        (RELU_GAUSS, "arc_cosine"),
+        (FeatureSpec(activation="identity", noise_gamma=1.0), "latent_linear"),
+        (FeatureSpec(activation="truncated_relu", noise_gamma=0.5), "monte_carlo"),
+    ])
+    def test_cross_kernel_and_interpolant_stay_float64(self, spec, method):
+        # K^{-1} amplifies rounding in the cross kernel, so the kernel reference
+        # stays float64: bitwise the float64 formula, identical test rows
+        # carrying gamma^2.
+        from mci.predict import kernel_interpolant
+        from mci.seeding import rng_from
+
+        ds = DataSpec(d=5, target=RidgeTarget.random(5, 0))
+        inst = sample_data(ds, 12, seed=1)
+        oracle = kernel_matrix(spec, inst.X, method=method, mc_samples=3_000, seed=4)
+        X_test = np.vstack([sample_covariates(ds, 40, seed=2), inst.X[:3]])
+        if method == "arc_cosine":
+            mean_cross = _whole_arc_cosine_kernel(X_test, inst.X)
+        elif method == "latent_linear":
+            mean_cross = X_test @ inst.X.T / 5
+        else:
+            W = features._draw_weights(spec, 5, 3_000, rng_from(4, "cross"))
+            mean_cross = (np.clip(X_test @ W.T, 0.0, 1.0)
+                          @ np.clip(inst.X @ W.T, 0.0, 1.0).T / 3_000)
+        cross = mean_cross.copy()
+        cross[40 + np.arange(3), np.arange(3)] += spec.noise_gamma**2
+        got = oracle.mean_cross(X_test)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, mean_cross)
+        np.testing.assert_array_equal(oracle.cross(X_test), cross)
+        ref = kernel_interpolant(oracle, inst.y)
+        np.testing.assert_array_equal(ref.predict(X_test), cross @ ref.coeffs)
 
     def test_inv_sqrt_inverts_on_unfloored_space(self):
         ds = DataSpec(d=5, target=RidgeTarget.random(5, 0))

@@ -10,6 +10,7 @@ from mci.features import (
     FeatureSpec,
     RidgeTarget,
     kernel_matrix,
+    mean_features_dot,
     sample_covariates,
     sample_data,
     sample_weights,
@@ -22,6 +23,16 @@ SPEC = FeatureSpec(activation="relu")
 
 def _ds(d, seed=0):
     return DataSpec(d=d, target=RidgeTarget.random(d, seed))
+
+
+def _predict_float64(pred, X):
+    """The slow path of `Predictor.predict`: the same chunked pass on float64 arrays."""
+    return mean_features_dot(pred.spec, np.asarray(X, dtype=np.float64), pred.W, pred.a) / pred.W.shape[0]
+
+
+def _rel_gap(got, want):
+    """max |got - want| over max |want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 class TestPredictor:
@@ -45,10 +56,12 @@ class TestPredictor:
         W = sample_weights(SPEC, 5, 30, seed=1)
         a1, a2 = rng.standard_normal(30), rng.standard_normal(30)
         X = rng.standard_normal((20, 5))
-        p1 = Predictor(W=W, a=a1, spec=SPEC).predict(X)
-        p2 = Predictor(W=W, a=a2, spec=SPEC).predict(X)
-        p12 = Predictor(W=W, a=a1 + a2, spec=SPEC).predict(X)
+        models = [Predictor(W=W, a=a, spec=SPEC) for a in (a1, a2, a1 + a2)]
+        # Exact on the float64 slow path; the float32 pass stays within 1e-6.
+        p1, p2, p12 = (_predict_float64(m, X) for m in models)
         np.testing.assert_allclose(p12, p1 + p2, atol=1e-12)
+        for m, slow in zip(models, (p1, p2, p12)):
+            assert _rel_gap(m.predict(X), slow) <= 1e-6
 
     def test_coefficient_matrix_predicts_each_column(self, monkeypatch):
         # 16-row chunks, so the 50 test rows span four of them.
@@ -60,11 +73,15 @@ class TestPredictor:
         W = sample_weights(SPEC, 5, 30, seed=3)
         A = rng.standard_normal((30, 4))
         X = rng.standard_normal((50, 5))
-        values = Predictor(W=W, a=A, spec=SPEC).predict(X)
+        model = Predictor(W=W, a=A, spec=SPEC)
+        values = _predict_float64(model, X)
         assert values.shape == (50, 4)
         for k in range(4):
-            column = Predictor(W=W, a=A[:, k], spec=SPEC).predict(X)
+            column = _predict_float64(Predictor(W=W, a=A[:, k], spec=SPEC), X)
             np.testing.assert_allclose(values[:, k], column, rtol=1e-12, atol=1e-14)
+        fast = model.predict(X)
+        assert fast.shape == (50, 4) and fast.dtype == np.float64
+        assert _rel_gap(fast, values) <= 1e-6
 
     @pytest.mark.parametrize("shape", [(), (29,), (31, 2), (30, 2, 1)])
     def test_coefficients_of_wrong_shape_rejected(self, shape):
@@ -104,6 +121,37 @@ class TestPredictor:
 
         assert inspect.ismodule(module) and module is mci.predict
         assert module.predict is predict
+
+
+class TestFloat32Pass:
+    # `Predictor.predict` runs sigma(X W^T) a in float32 chunks and returns
+    # float64 values within 1e-6 (of the largest value) of the float64 slow path.
+    @pytest.mark.parametrize("activation", ["relu", "truncated_relu", "identity"])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_matches_the_float64_slow_path(self, monkeypatch, activation, columns):
+        import mci.features as features
+
+        # 64-row chunks, so the 600 test rows run as ten, the last one partial.
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 64 * 512)
+        monkeypatch.setattr(features, "MIN_CHUNK_ROWS", 64)
+        spec = FeatureSpec(activation=activation)
+        W = sample_weights(spec, 30, 512, seed=5)
+        a = np.random.default_rng(6).standard_normal((512,) if columns is None else (512, columns))
+        X = sample_covariates(_ds(30), 600, seed=7)
+        model = Predictor(W=W, a=a, spec=spec)
+        slow = _predict_float64(model, X)
+        dtypes, mean_features = [], features.mean_features
+
+        def record(spec, X, W):
+            F = mean_features(spec, X, W)
+            dtypes.append(F.dtype)
+            return F
+
+        monkeypatch.setattr(features, "mean_features", record)
+        fast = model.predict(X)
+        assert dtypes == [np.float32] * 10
+        assert fast.dtype == np.float64 and fast.shape == slow.shape
+        assert _rel_gap(fast, slow) <= 1e-6
 
 
 class TestKernelInterpolant:
