@@ -28,7 +28,6 @@ from .audit import (
     hermite_coefficients,
     hermite_condition_check,
 )
-from .errors import NotConverged
 from .features import (
     ARC_COSINE,
     GAUSSIAN_ISOTROPIC,
@@ -49,7 +48,7 @@ from .features import (
 from .penalty import PenaltySpec
 from .predict import Predictor, kernel_interpolant, l2_distance, test_error
 from .seeding import derive_seed as derived_seed
-from .solver import SolverOptions, fit, solve_dual
+from .solver import SolverOptions, _range_split, fit, solve_dual
 
 FIG1 = "fig1"
 SCALING = "scaling"
@@ -230,28 +229,63 @@ def aggregate(rows: list[Row]) -> dict:
 # Row solvers
 # ---------------------------------------------------------------------------
 
-def _reference_predictor(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instance, p: float,
-                         seed: int):
-    """Width->infinity surrogate: kernel interpolant when p = 2, else a large-N solve.
+def _references(cfg: ExperimentConfig, spec: FeatureSpec, inst: Instance, seed: int,
+                X_test: np.ndarray) -> tuple[dict, dict, dict]:
+    """Width->infinity surrogate of every p, predicted on `X_test`: a solve at
+    width N_ref, or the kernel interpolant when p = 2.
 
-    Also returns the population term E[z s(<phi, lam>)] of the exact-fit noise
-    identity: gamma^2 K^{-1} y in closed form for p = 2, otherwise estimated
-    from the reference solve's own noise matrix.  A reference solve that does
-    not converge raises NotConverged with its status.
+    Returns ({p: values on X_test}, {p: noise term}, {p: failure reason}).
+    The noise term is the population side E[z s(<phi, lam>)] of the exact-fit
+    noise identity: estimated from the reference solve's own noise matrix,
+    or gamma^2 K^{-1} y in closed form for p = 2.  The solved references
+    share one draw W_ref, one featurization and one range split.  A
+    reference fit that does not converge is left out, with its status as the
+    reason.  The dense references (p > 1) are predicted in one stacked pass;
+    a p = 1 reference, at most n nonzeros, is predicted on its support,
+    apart from that stack.
     """
-    if p == 2.0:
+    values, noise, failed, models = {}, {}, {}, {}
+    solved = [p for p in cfg.p_list if p != 2.0]
+    if solved:
+        ref_seed = derived_seed(seed, "reference")
+        W_ref = sample_weights(spec, cfg.d, cfg.N_ref, ref_seed)
+        Phi_ref, Z_ref = featurize(spec, inst.X, W_ref, seed=ref_seed, return_noise=True)
+        split = _range_split(Phi_ref, inst.y)
+        for p in solved:
+            ref = fit(Phi_ref, inst.y, PenaltySpec.pnorm(p), cfg.solver, _split=split)
+            if not ref.converged:
+                failed[p] = f"reference solve ended {ref.status} (p={p}, N_ref={cfg.N_ref})"
+                continue
+            models[p] = ref.a
+            noise[p] = np.zeros(inst.n) if Z_ref is None else Z_ref @ ref.a / cfg.N_ref
+        del Phi_ref, Z_ref  # 20 MB at N_ref = 16384
+    # The kernel reference comes between the fits and their prediction
+    # passes: Phi_ref is freed, and the passes' 8 MB float32 chunks have not
+    # yet grown the heap, so its M_test x n cross kernel adds least to peak
+    # memory.  On 2 vCPUs (OpenBLAS) a default `mci scaling` seed peaks at
+    # about 80 MB so, 74.7 MB with the kernel first and 86.3 MB with it
+    # last; the scaling benchmark at 65.9, 68.4 and 65.9 MB.
+    if 2.0 in cfg.p_list:
         oracle = kernel_matrix(spec, inst.X, method=_closed_form_method(spec),
                                seed=derived_seed(seed, "kernel"))
         ref = kernel_interpolant(oracle, inst.y)
-        return ref, cfg.gamma**2 * ref.coeffs
-    ref_seed = derived_seed(seed, "reference")
-    W_ref = sample_weights(spec, cfg.d, cfg.N_ref, ref_seed)
-    Phi_ref, Z_ref = featurize(spec, inst.X, W_ref, seed=ref_seed, return_noise=True)
-    ref = fit(Phi_ref, inst.y, PenaltySpec.pnorm(p), cfg.solver)
-    if not ref.converged:
-        raise NotConverged(f"reference solve ended {ref.status} (p={p}, N_ref={cfg.N_ref})")
-    noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ ref.a / cfg.N_ref
-    return Predictor(W=W_ref, a=ref.a, spec=spec), noise
+        values[2.0], noise[2.0] = ref.predict(X_test), cfg.gamma**2 * ref.coeffs
+    dense = [p for p in solved if p != 1.0]
+    if any(p in models for p in dense):
+        # One column per dense p of the config, zero where its fit failed, so
+        # the product's shape, and with it each column's float32 rounding,
+        # does not depend on which fits converged.  A single column stays a
+        # vector, as one model is predicted on its own.
+        A = np.zeros((cfg.N_ref, len(dense)))
+        for c, p in enumerate(dense):
+            if p in models:
+                A[:, c] = models[p]
+        a = A[:, 0] if len(dense) == 1 else A
+        stacked = Predictor(W=W_ref, a=a, spec=spec).predict(X_test).reshape(len(X_test), -1)
+        values.update((p, col) for p, col in zip(dense, stacked.T) if p in models)
+    if 1.0 in models:
+        values[1.0] = Predictor(W=W_ref, a=models[1.0], spec=spec).predict(X_test)
+    return values, noise, failed
 
 
 def _closed_form_method(spec: FeatureSpec) -> str:
@@ -290,11 +324,15 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
 
     Per seed the test batch is drawn once, the weights are drawn once at the
     largest width and each width takes a prefix (the weight draw is
-    prefix-nested), and the reference of each p (scaling and latent only) is
-    predicted once.  The seed fits all of its rows first; one pass over the
-    widest draw then predicts every converged model, and each model's value
-    column feeds both `test_error` and `l2_distance`.  `wall_ms` is the row's
-    fit time.  Every fit ends in a status and the sweep continues; only rows
+    prefix-nested), and the references (scaling and latent only) are solved
+    and predicted once (see `_references`).  Nothing but the penalty depends
+    on p, so each width is featurized and range-split (`_range_split`) once,
+    and every p's fit takes that split.  The seed fits all of its rows first;
+    one pass over the widest draw then predicts every converged model, and
+    each model's value column feeds both `test_error` and `l2_distance`.
+    `wall_ms` is the row's fit time; the first row of each width also carries
+    that width's split, so the rows of a width still sum to all of its fit
+    work.  Every fit ends in a status and the sweep continues; only rows
     whose fit converged are predicted and scored, the others carry nan
     `test_error` and `l2_to_ref`.  A reference that does not converge makes
     every row of its (seed, p) unconverged in the same way, and its reason is
@@ -309,23 +347,22 @@ def _sweep(cfg: ExperimentConfig, experiment: str) -> tuple[list[Row], dict]:
         y_test = ds.target(X_test)
         ref_values, ref_noise, ref_failed = {}, {}, {}
         if experiment != FIG1:
-            for p in cfg.p_list:
-                try:
-                    ref, ref_noise[p] = _reference_predictor(cfg, spec, inst, p, seed)
-                except NotConverged as exc:
-                    ref_failed[p] = str(exc)
-                    continue
-                ref_values[p] = ref.predict(X_test)
+            ref_values, ref_noise, ref_failed = _references(cfg, spec, inst, seed, X_test)
         N_max = cfg.N_list[-1]
         W_max = sample_weights(spec, cfg.d, N_max, seed)
         fits, residuals = [], {}
         for N in cfg.N_list:
             Phi, Z = featurize(spec, inst.X, W_max[:N], seed=seed, return_noise=True)
+            t0 = time.perf_counter()
+            split = _range_split(Phi, inst.y)
+            split_ms = (time.perf_counter() - t0) * 1e3
             for p in cfg.p_list:
                 t0 = time.perf_counter()
-                res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver)
+                res = fit(Phi, inst.y, PenaltySpec.pnorm(p), cfg.solver, _split=split)
+                wall = (time.perf_counter() - t0) * 1e3 + split_ms
+                split_ms = 0.0  # charged to the width's first row only
                 ok = res.converged and p not in ref_failed
-                fits.append((p, N, res, ok, (time.perf_counter() - t0) * 1e3))
+                fits.append((p, N, res, ok, wall))
                 if experiment == LATENT and ok and p > 1:
                     # || (1/N) Z a - E[z s(<phi, lam>)] ||_2, the exact-fit noise identity
                     residuals[(p, N)] = float(np.linalg.norm(Z @ res.a / N - ref_noise[p]))

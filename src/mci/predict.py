@@ -35,8 +35,11 @@ class Predictor:
     all.  A model of width N' < N on the first N' weights is the column
     (N / N') a, zero-padded below N'.
 
-    `predict` casts the test rows, W and a to float32 once per call, runs
-    sigma(X W^T) a in float32 chunks and returns float64 values.
+    `predict` drops the rows of `a` that are zero in every column, with
+    their weights, and still divides by the full N: a p = 1 model has at most
+    n nonzeros, so its pass is M x n instead of M x N.  It casts the test
+    rows and the kept W and a to float32 once per call, runs sigma(X W^T) a
+    in float32 chunks and returns float64 values.
     """
 
     W: np.ndarray
@@ -53,7 +56,11 @@ class Predictor:
         X_test = np.asarray(X_test, dtype=np.float32)
         if X_test.ndim != 2 or X_test.shape[1] != self.W.shape[1]:
             raise ValueError(f"test rows {X_test.shape} incompatible with W {self.W.shape}")
-        W, a = self.W.astype(np.float32), self.a.astype(np.float32)
+        W, a = self.W, self.a
+        support = np.flatnonzero(a if a.ndim == 1 else np.any(a != 0, axis=1))
+        if support.size < W.shape[0]:
+            W, a = W[support], a[support]
+        W, a = W.astype(np.float32), a.astype(np.float32)
         return mean_features_dot(self.spec, X_test, W, a) / self.W.shape[0]
 
 

@@ -10,9 +10,12 @@ residual, so convergence is measured on the gradient alone.  A damped Newton
 ascent with Armijo backtracking handles all p > 1; the l1 case (basis
 pursuit, a linear program) follows the lasso homotopy to its end, in numpy
 alone, and certifies the end point by LP duality from the final support.
-Both first take one eigendecomposition of the Gram matrix G = Phi Phi^T / N,
-which tests y against range(Phi) at every width and gives the Newton start
-G^+ y and the rank of Phi.  For every outcome of
+Both start from one eigendecomposition of the Gram matrix G = Phi Phi^T / N
+(`_range_split`), which tests y against range(Phi) and gives the Newton
+start G^+ y and the rank of Phi.  None of it depends on p, so a sweep splits
+each featurized Phi once and hands the split to every p's solve through the
+private keyword `_split`; without it each solve splits Phi itself.  For every
+outcome of
 well-formed input either path returns one `Solution` record whose status is
 one of the STATUS_* strings (only bad input raises ValueError); `fit` runs
 whichever path applies.
@@ -169,6 +172,8 @@ def _curvature(Phi: np.ndarray, pen: PenaltySpec, u: np.ndarray) -> np.ndarray:
 def _range_split(Phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(G^+ y, r, rank Phi) from one eigendecomposition of G = Phi Phi^T / N.
 
+    It depends on Phi and y alone, not on the penalty: the sweep measures it
+    once per featurized width and passes it to every p's `fit` as `_split`.
     r projects y onto the null eigenvectors, so ||r|| = dist(y, range Phi), a
     floor on the residual of every fit (1/N) Phi a, and r / ||r|| is the unit
     Farkas direction v: Phi^T v = 0 and <v, y> = ||r||.  The rank counts the
@@ -204,6 +209,8 @@ def solve_dual(
     y: np.ndarray,
     pen: PenaltySpec,
     opts: SolverOptions | None = None,
+    *,
+    _split: tuple[np.ndarray, np.ndarray, int] | None = None,
 ) -> Solution:
     """Maximize the dual by damped Newton ascent with Armijo backtracking.
 
@@ -222,7 +229,9 @@ def solve_dual(
 
     The gradient (the interpolation residual) is y minus a vector of
     range(Phi), so its norm never falls below dist(y, range Phi), which
-    `_range_split` measures at every width before any Newton work.  When it
+    `_range_split` measures before any Newton work: here, or once per
+    featurized Phi by a caller that passes its result as `_split` to every
+    p's solve (the result is the same, bit for bit).  When it
     exceeds the tolerance the problem is certified infeasible and the
     record has status "infeasible", iters=0, that distance as `residual` and,
     as lambda_hat, the unit Farkas direction v (Phi^T v ~ 0,
@@ -237,7 +246,7 @@ def solve_dual(
     _check_dims(Phi, y)
     tol = float(opts.tol_grad_abs + opts.tol_grad_rel * np.linalg.norm(y))
 
-    lam0, r, _ = _range_split(Phi, y)
+    lam0, r, _ = _range_split(Phi, y) if _split is None else _split
     dist = float(np.linalg.norm(r))
     if dist > tol:
         farkas = r / dist
@@ -325,10 +334,17 @@ def _armijo(Phi, y, pen, lam, u, obj, g, direction):
     return False, lam, obj, 0.0
 
 
-def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
+def solve_l1(
+    Phi: np.ndarray,
+    y: np.ndarray,
+    *,
+    _split: tuple[np.ndarray, np.ndarray, int] | None = None,
+) -> Solution:
     """Minimize sum_j |a_j| subject to (1/N) Phi a = y by the lasso homotopy.
 
-    y is first tested against range(Phi) (`_range_split`): when its distance
+    y is first tested against range(Phi) (`_range_split`, or its result
+    passed as `_split` by a caller that splits Phi once for every p, as
+    `solve_dual` takes it): when its distance
     from it exceeds the residual tolerance, the status is "infeasible" with
     that distance as `residual`, and the path is never entered.  Otherwise
     `_homotopy` follows the lasso path to tau = 0, re-solves the final
@@ -348,7 +364,7 @@ def solve_l1(Phi: np.ndarray, y: np.ndarray) -> Solution:
     _check_dims(Phi, y)
     N = Phi.shape[1]
     tol = L1_RESIDUAL_RTOL * max(np.linalg.norm(y), 1.0)
-    _, r, rank = _range_split(Phi, y)
+    _, r, rank = _range_split(Phi, y) if _split is None else _split
     dist = float(np.linalg.norm(r))
     if dist > tol:
         return Solution(STATUS_INFEASIBLE, None, math.nan, dist)
@@ -520,12 +536,21 @@ def _homotopy(B: np.ndarray, b: np.ndarray, rank: int) -> tuple[np.ndarray, bool
 
 
 def fit(
-    Phi: np.ndarray, y: np.ndarray, pen: PenaltySpec, opts: SolverOptions | None = None
+    Phi: np.ndarray,
+    y: np.ndarray,
+    pen: PenaltySpec,
+    opts: SolverOptions | None = None,
+    *,
+    _split: tuple[np.ndarray, np.ndarray, int] | None = None,
 ) -> Solution:
     """Minimum-complexity interpolant for any p: the l1 program when p = 1,
     else the dual solve.
 
     Both paths return the same record for every outcome (converged,
     infeasible, max_iters or line_search_failed), so fit passes it on.
+    `_split` is `_range_split(Phi, y)` computed by a caller that fits the
+    same Phi and y for several p; it is handed on unchanged.
     """
-    return solve_l1(Phi, y) if pen.is_l1 else solve_dual(Phi, y, pen, opts)
+    if pen.is_l1:
+        return solve_l1(Phi, y, _split=_split)
+    return solve_dual(Phi, y, pen, opts, _split=_split)

@@ -284,8 +284,8 @@ def test_failed_reference_fit_keeps_every_other_row(tmp_path, monkeypatch):
     assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "base")]) == 0
     fit, failed = experiments.fit, []
 
-    def failing_fit(Phi, y, pen, opts):
-        res = fit(Phi, y, pen, opts)
+    def failing_fit(Phi, y, pen, opts, **kwargs):
+        res = fit(Phi, y, pen, opts, **kwargs)
         if Phi.shape[1] == fields["N_ref"] and pen.p == 1.5 and not failed:
             failed.append(pen.p)
             return dataclasses.replace(res, status=STATUS_MAX_ITERS, a=None)

@@ -316,12 +316,37 @@ class TestLatent:
         assert by_N[1024] < by_N[64]
 
 
+def _reference_per_p(cfg: ExperimentConfig, spec, inst, p: float, seed: int):
+    """The reference of one p, built on its own: the kernel interpolant when
+    p = 2, else a fresh draw, featurization and fit at width N_ref, each
+    splitting its own Gram matrix.  Returns (predictor, noise term)."""
+    from mci.features import featurize, kernel_matrix, sample_weights
+    from mci.penalty import PenaltySpec
+    from mci.predict import Predictor, kernel_interpolant
+    from mci.seeding import derive_seed
+    from mci.solver import fit
+
+    if p == 2.0:
+        oracle = kernel_matrix(spec, inst.X, method=experiments._closed_form_method(spec),
+                               seed=derive_seed(seed, "kernel"))
+        ref = kernel_interpolant(oracle, inst.y)
+        return ref, cfg.gamma**2 * ref.coeffs
+    ref_seed = derive_seed(seed, "reference")
+    W_ref = sample_weights(spec, cfg.d, cfg.N_ref, ref_seed)
+    Phi_ref, Z_ref = featurize(spec, inst.X, W_ref, seed=ref_seed, return_noise=True)
+    ref = fit(Phi_ref, inst.y, PenaltySpec.pnorm(p), cfg.solver)
+    assert ref.converged, ref.status
+    noise = np.zeros(inst.n) if Z_ref is None else Z_ref @ ref.a / cfg.N_ref
+    return Predictor(W=W_ref, a=ref.a, spec=spec), noise
+
+
 def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
     """The per-row path the engine replaces: fresh weights and a fresh Predictor
-    for each row, `test_error` and `l2_distance` each predicting the model, the
-    reference re-predicted for every width, and the latent reference noise
-    matrix regenerated for every width.  Rows whose fit did not converge keep
-    the solver's iteration count and are not scored (nan outputs).  Returns
+    for each row, `test_error` and `l2_distance` each predicting the model, a
+    reference built and predicted on its own for each p and re-predicted for
+    every width, and the latent reference noise matrix regenerated for every
+    width.  Rows whose fit did not converge keep the solver's iteration count
+    and are not scored (nan outputs).  Returns
     ({(p, N, seed): row outputs}, {"p=..|N=..": [noise residual per seed]})."""
     from mci.features import featurize, sample_data, sample_weights
     from mci.penalty import PenaltySpec
@@ -337,7 +362,7 @@ def _rows_evaluated_per_row(cfg: ExperimentConfig, experiment: str):
         for p in cfg.p_list:
             ref = None
             if experiment != "fig1":
-                ref, _ = experiments._reference_predictor(cfg, spec, inst, p, seed)
+                ref, _ = _reference_per_p(cfg, spec, inst, p, seed)
             for N in cfg.N_list:
                 W = sample_weights(spec, cfg.d, N, seed)
                 Phi, Z = featurize(spec, inst.X, W, seed=seed, return_noise=True)
@@ -370,6 +395,11 @@ ENGINE_CASES = {
     "scaling": (run_scaling, dict(d=5, n=12, p_list=[1.5, 2.0],
                                   N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000,
                                   N_ref=512, weight_dist="uniform_sphere")),
+    # Every p: three dense references share one stacked pass (p = 1.25 and
+    # 1.5 solved, p = 2 the kernel) and p = 1's is predicted on its support.
+    "scaling_every_p": (run_scaling, dict(d=5, n=12, p_list=[1.0, 1.25, 1.5, 2.0],
+                                          N_list=[32, 64, 128], seeds=[0, 1], M_test=1_000,
+                                          N_ref=512)),
     "latent": (run_latent, dict(d=5, n=12, p_list=[2.0, 1.5],
                                 N_list=[32, 128], seeds=[0, 1], gamma=1.0,
                                 activation="identity", target_activation="identity",
@@ -480,8 +510,8 @@ class TestSweepEngine:
                 draws.append(W)
             return W
 
-        def record_fit(Phi, *args):
-            res = fit(Phi, *args)
+        def record_fit(Phi, *args, **kwargs):
+            res = fit(Phi, *args, **kwargs)
             if Phi.shape[1] in cfg.N_list and res.status == STATUS_CONVERGED:
                 fits.append((draws[-1], Phi.shape[1], res.a))
             return res
@@ -512,6 +542,48 @@ class TestSweepEngine:
             slow = _predict_float64(Predictor(W=W_max[:N], a=a, spec=spec), X_test)
             assert np.linalg.norm(exact_values - slow) <= 1e-12 * np.linalg.norm(slow)
             assert np.linalg.norm(values - slow) <= 1e-6 * np.linalg.norm(slow)
+
+    @pytest.mark.parametrize("experiment", sorted(ENGINE_CASES))
+    def test_shared_split_writes_the_same_rows(self, experiment, monkeypatch):
+        # With `fit` wrapped to drop the shared split, every solve splits its
+        # own Phi: the rows (but their fit times) and the extras are the same.
+        runner, raw = ENGINE_CASES[experiment]
+        cfg = ExperimentConfig.from_dict(raw)
+        shared = runner(cfg)
+        fit = experiments.fit
+
+        def own_split(Phi, y, pen, opts=None, *, _split=None):
+            return fit(Phi, y, pen, opts)
+
+        monkeypatch.setattr(experiments, "fit", own_split)
+        unshared = runner(cfg)
+        assert len(shared.rows) == len(unshared.rows) > 0
+        for a, b in zip(shared.rows, unshared.rows):
+            assert rows_equal(dataclasses.replace(a, wall_ms=0.0), dataclasses.replace(b, wall_ms=0.0))
+        assert json.dumps(shared.extras) == json.dumps(unshared.extras)
+
+    @pytest.mark.parametrize("runner, expected", [
+        (run_fig1, {"_range_split": 2 * 3}),
+        (run_scaling, {"_range_split": 2 * (3 + 1), "kernel_matrix": 2}),
+    ])
+    def test_one_range_split_per_featurized_width(self, monkeypatch, runner, expected):
+        # Per seed, one Gram eigendecomposition per width for every p and, in
+        # a scaling run, one for the reference draw that the p = 1 and 1.5
+        # references share; the p = 2 kernel oracle takes its own.
+        import sys
+
+        calls = collections.Counter()
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = ExperimentConfig(d=5, n=12, p_list=[1.0, 1.5, 2.0], N_list=[8, 32, 64],
+                               seeds=[0, 1], M_test=1_000, N_ref=512)
+        assert len(runner(cfg).rows) == 2 * 3 * 3
+        assert calls == expected
 
     def test_test_batch_drawn_and_scored_once_per_seed(self, monkeypatch):
         # One covariate draw and one target evaluation of M_test rows per seed,

@@ -154,6 +154,53 @@ class TestFloat32Pass:
         assert _rel_gap(fast, slow) <= 1e-6
 
 
+class TestSupportPass:
+    # `Predictor.predict` drops the rows of `a` that are zero in every column,
+    # with their weights, and still divides by the full width N.
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_rows_off_the_support_are_never_read(self, columns):
+        # A p = 1 model's shape: 150 nonzeros among 4096 rows.  The weights
+        # off the support are nan, so any read of them would show.
+        rng = np.random.default_rng(11)
+        W = sample_weights(SPEC, 30, 4096, seed=11)
+        a = np.zeros((4096,) if columns is None else (4096, columns))
+        support = rng.choice(4096, size=150, replace=False)
+        a[support] = rng.standard_normal((150,) + a.shape[1:])
+        X = sample_covariates(_ds(30), 500, seed=12)
+        dense = _predict_float64(Predictor(W=W, a=a, spec=SPEC), X)
+        W_nan = np.full_like(W, np.nan)
+        W_nan[support] = W[support]
+        got = Predictor(W=W_nan, a=a, spec=SPEC).predict(X)
+        assert np.all(np.isfinite(got)) and got.shape == dense.shape
+        assert _rel_gap(got, dense) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 3)])
+    def test_all_zero_coefficients_predict_zeros(self, shape):
+        W = np.full((64, 5), np.nan)
+        got = Predictor(W=W, a=np.zeros(shape), spec=SPEC).predict(np.ones((7, 5)))
+        np.testing.assert_array_equal(got, np.zeros((7,) + shape[1:]))
+
+    def test_divisor_is_the_full_width(self):
+        # One nonzero coefficient at row j of N = 40: f(x) = a_j relu(<x, w_j>) / 40.
+        W = sample_weights(SPEC, 5, 40, seed=4)
+        a = np.zeros(40)
+        a[17] = 3.0
+        X = sample_covariates(_ds(5), 200, seed=5)
+        want = 3.0 * np.maximum(X @ W[17], 0.0) / 40
+        assert _rel_gap(Predictor(W=W, a=a, spec=SPEC).predict(X), want) <= 1e-6
+
+    def test_stacked_columns_match_single_passes(self):
+        # Two dense 16,384-row models, as the references of two p > 1.
+        rng = np.random.default_rng(8)
+        W = sample_weights(SPEC, 30, 16_384, seed=8)
+        A = rng.standard_normal((16_384, 2))
+        X = sample_covariates(_ds(30), 300, seed=9)
+        stacked = Predictor(W=W, a=A, spec=SPEC).predict(X)
+        for k in range(2):
+            single = Predictor(W=W, a=A[:, k], spec=SPEC).predict(X)
+            assert _rel_gap(stacked[:, k], single) <= 1e-6
+
+
 class TestKernelInterpolant:
     def test_identity_kernel_coeffs(self):
         spec = FeatureSpec(activation="identity", noise_gamma=1.0)

@@ -698,6 +698,28 @@ class TestInfeasibilityCertificate:
         assert res.status == (STATUS_INFEASIBLE if N < 20 else STATUS_CONVERGED)
         assert calls == [(20, 20)]
 
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("N", [8, 40])
+    def test_shared_split_gives_the_same_solution(self, monkeypatch, p, N):
+        # A split computed once by the caller, as a sweep shares it over every
+        # p, gives the record of a fit that splits Phi itself, bit for bit,
+        # on either side of n = 20; the fit then takes no eigendecomposition.
+        Phi, y = _random_problem(20, N, 6, seed=10)
+        own = fit(Phi, y, PenaltySpec.pnorm(p))
+        split = solver._range_split(Phi, y)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(solver.np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        shared = fit(Phi, y, PenaltySpec.pnorm(p), _split=split)
+        assert calls == []
+        assert own.status == (STATUS_INFEASIBLE if N < 20 else STATUS_CONVERGED)
+        for f in dataclasses.fields(Solution):
+            mine, theirs = getattr(own, f.name), getattr(shared, f.name)
+            if isinstance(mine, np.ndarray):
+                assert theirs.tobytes() == mine.tobytes(), f.name
+            else:
+                assert theirs == mine or (mine != mine and theirs != theirs), f.name
+
 
 class TestInitialPoint:
     def test_p2_start_is_the_quadratic_optimum(self):
