@@ -14,11 +14,10 @@ Both start from one eigendecomposition of the Gram matrix G = Phi Phi^T / N
 (`_range_split`), which tests y against range(Phi) and gives the Newton
 start G^+ y and the rank of Phi.  None of it depends on p, so a sweep splits
 each featurized Phi once and hands the split to every p's solve through the
-private keyword `_split`; without it each solve splits Phi itself.  For every
-outcome of
-well-formed input either path returns one `Solution` record whose status is
-one of the STATUS_* strings (only bad input raises ValueError); `fit` runs
-whichever path applies.
+private keyword `_split`; without it each solve splits Phi itself.  For
+every outcome of well-formed input either path returns one `Solution` record
+whose status is one of the STATUS_* strings (only bad input raises
+ValueError); `fit` runs whichever path applies.
 """
 
 from __future__ import annotations
@@ -231,12 +230,12 @@ def solve_dual(
     range(Phi), so its norm never falls below dist(y, range Phi), which
     `_range_split` measures before any Newton work: here, or once per
     featurized Phi by a caller that passes its result as `_split` to every
-    p's solve (the result is the same, bit for bit).  When it
-    exceeds the tolerance the problem is certified infeasible and the
-    record has status "infeasible", iters=0, that distance as `residual` and,
-    as lambda_hat, the unit Farkas direction v (Phi^T v ~ 0,
-    <v, y> = dist(y, range Phi) > 0), along which the dual objective grows
-    without bound; its one trace entry holds objective_dual = <v, y>.
+    p's solve (the result is the same, bit for bit).  When it exceeds the
+    tolerance the problem is certified infeasible and the record has status
+    "infeasible", iters=0, that distance as `residual` and, as lambda_hat,
+    the unit Farkas direction v (Phi^T v ~ 0, <v, y> = dist(y, range Phi) >
+    0), along which the dual objective grows without bound; its one trace
+    entry holds objective_dual = <v, y>.
     """
     if pen.is_l1:
         raise ValueError("solve_dual does not handle p=1; use solve_l1")
@@ -344,9 +343,9 @@ def solve_l1(
 
     y is first tested against range(Phi) (`_range_split`, or its result
     passed as `_split` by a caller that splits Phi once for every p, as
-    `solve_dual` takes it): when its distance
-    from it exceeds the residual tolerance, the status is "infeasible" with
-    that distance as `residual`, and the path is never entered.  Otherwise
+    `solve_dual` takes it): when its distance from it exceeds the residual
+    tolerance, the status is "infeasible" with that distance as `residual`,
+    and the path is never entered.  Otherwise
     `_homotopy` follows the lasso path to tau = 0, re-solves the final
     support and certifies the end point once, from that support's dual
     point.  The result is "converged" only when the certificate holds and
